@@ -1,10 +1,9 @@
 """Enumerator throughput smoke benchmark (candidates/sec).
 
 Not a paper figure: this pins the search-engine subsystem's performance
-envelope. It records candidates/sec for the serial best-first engine,
-for the thread-pool verification stage (workers=4), and for the
-process-pool verification backend (workers=4), reporting the speedups
-(parallel vs serial, and processes vs threads), plus the cold-vs-warm
+envelope. It records candidates/sec for the serial best-first engine
+and for the thread-pool verification stage (workers=4), reporting the
+parallel-vs-serial speedup, plus the cold-vs-warm
 comparison for the disk-backed probe cache (run the workload cold, save
 the caches, reload, run again), the score-call reduction of the
 batched guidance backend (dedup + distribution cache behind
@@ -18,9 +17,7 @@ answers, never more executed probes, plus single-flight dedup of
 concurrent duplicate probes). Set ``REPRO_PERF_STRICT=1`` (multi-core hosts only — SQLite
 probe execution releases the GIL, but a single core has nothing to run
 the extra workers on) to turn the targets into hard assertions: ≥1.5x
-for threads, ≥1.1x for processes (which pay per-enumeration worker
-spawn + job pickling before their CPU-bound parallelism pays off), for
-the warm-cache run zero probe misses plus no slowdown, for the
+for threads, for the warm-cache run zero probe misses plus no slowdown, for the
 batched-guidance repeat run zero model calls, for the planner-batched
 run strictly fewer executed ``Database.execute`` statements than
 planner-off, for the fuse run strictly fewer executed statements *and*
@@ -84,9 +81,9 @@ def workload():
     return model, tasks
 
 
-def run_workload(workload, workers: int, backend: str = "threads",
-                 caches=None, probe_planner: str = "off",
-                 cost_order: str = "off", probe_timeout=None):
+def run_workload(workload, workers: int, caches=None,
+                 probe_planner: str = "off", cost_order: str = "off",
+                 probe_timeout=None):
     """Enumerate every task; returns (candidates, elapsed, cand/sec).
 
     ``caches`` optionally maps ``id(db)`` to a ``SharedProbeCache``,
@@ -100,7 +97,6 @@ def run_workload(workload, workers: int, backend: str = "threads",
 
     model, tasks = workload
     config = EnumeratorConfig(engine="best-first", workers=workers,
-                              verify_backend=backend,
                               max_candidates=MAX_CANDIDATES,
                               max_expansions=MAX_EXPANSIONS,
                               probe_planner=probe_planner,
@@ -148,39 +144,6 @@ def test_parallel_speedup(benchmark, workload):
     if STRICT:
         assert speedup >= 1.5, \
             f"workers={PARALLEL_WORKERS} only reached {speedup:.2f}x"
-
-
-def test_process_backend_speedup(benchmark, workload):
-    """Processes-vs-threads comparison for the verification backend.
-
-    The process pool parallelises the CPU-bound cascade stages that the
-    thread pool cannot (the GIL serialises them), at the cost of
-    spawning workers and pickling jobs per enumeration. Both ratios are
-    recorded; strict mode asserts the processes backend beats serial.
-    """
-    serial_emitted, _, serial_rate = run_workload(workload, workers=1)
-    _, _, thread_rate = run_workload(workload, workers=PARALLEL_WORKERS)
-    emitted, elapsed, rate = run_once(
-        benchmark, lambda: run_workload(workload,
-                                        workers=PARALLEL_WORKERS,
-                                        backend="processes"))
-    speedup = rate / serial_rate if serial_rate else 0.0
-    vs_threads = rate / thread_rate if thread_rate else 0.0
-    benchmark.extra_info["candidates_per_sec"] = round(rate, 1)
-    benchmark.extra_info["speedup_vs_serial"] = round(speedup, 2)
-    benchmark.extra_info["speedup_vs_threads"] = round(vs_threads, 2)
-    benchmark.extra_info["cpus"] = os.cpu_count()
-    print(f"\n[perf] processes x{PARALLEL_WORKERS}: {emitted} candidates "
-          f"in {elapsed:.2f}s ({rate:.1f} cand/s, {speedup:.2f}x serial, "
-          f"{vs_threads:.2f}x threads, {os.cpu_count()} cpus)")
-    # The stream contract holds for the process backend too...
-    assert emitted == serial_emitted
-    assert rate > 0
-    # ...and in strict mode the backend must pay for its overhead.
-    if STRICT:
-        assert speedup >= 1.1, \
-            f"processes x{PARALLEL_WORKERS} only reached {speedup:.2f}x " \
-            f"vs serial"
 
 
 def test_guidance_batching_amortisation(benchmark, workload):

@@ -17,9 +17,9 @@ ranked candidates. ``EnumeratorConfig`` carries every search knob the
 CLI exposes (``engine``, ``workers``, ``verify_backend``,
 ``beam_width``); for repeated runs on one database, see
 ``repro.core.search.PersistentProbeCache`` (disk-backed probe cache)
-and ``repro.core.search.PoolManager`` (warm verification workers) —
-the eval harness wires both automatically via
-``SimulationConfig.cache_dir``.
+and ``repro.core.search.PoolManager`` (warm verification threads) —
+the eval harness wires the cache via ``SimulationConfig.cache_dir`` and
+owns a pool manager per run.
 """
 
 import random

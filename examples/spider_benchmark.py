@@ -13,9 +13,10 @@ Run with::
 Useful ``SimulationConfig`` knobs beyond the ``timeout`` used below
 (the CLI exposes the same surface on ``duoquest simulate``):
 
-* ``workers`` + ``verify_backend`` — parallel verification
-  (``"threads"`` or ``"processes"``); warm worker pools are leased from
-  the harness's shared ``PoolManager`` automatically.
+* ``workers`` + ``verify_backend`` — parallel verification on
+  ``workers`` threads (``"threads"``, the default; ``"inline"`` needs
+  ``workers=1``); each run leases warm per-database thread pools from
+  its own ``PoolManager`` and closes them before returning.
 * ``cache_dir`` — persist probe caches to disk keyed by database
   content hash; running this script twice with the same ``cache_dir``
   warm-starts the second run (see the ``WarmStart`` column of

@@ -102,8 +102,8 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     telemetry = result.telemetry
     if telemetry is not None:
         # Reason-neutral: pools degrade for several causes (no snapshot
-        # support, unpicklable rules, worker crash); the logged warning
-        # carries the specific one.
+        # support, a failed worker batch); the logged warning carries
+        # the specific one.
         degraded = " (degraded to inline verification)" \
             if telemetry.snapshot_degraded else ""
         warm = f", {telemetry.warm_start_probe_hits} warm-start hits" \
@@ -398,10 +398,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "values below 1 are rejected)")
     parser.add_argument("--verify-backend", dest="verify_backend",
                         choices=VERIFY_BACKENDS, default="threads",
-                        help="verification pool backend (default: threads; "
-                             "'processes' also parallelises the CPU-bound "
-                             "cascade stages, 'inline' requires "
-                             "--workers 1)")
+                        help="verification pool backend (default: threads, "
+                             "which verifies on --workers threads; "
+                             "'inline' requires --workers 1)")
     parser.add_argument("--beam-width", type=_positive_int, default=16,
                         help="frontier width for the beam engines "
                              "(default: 16)")

@@ -108,8 +108,9 @@ class Duoquest:
         #: optional shared probe cache; the eval harness passes one per
         #: database so probe answers are reused across tasks
         self.probe_cache = probe_cache
-        #: optional warm verification-pool manager; the eval harness
-        #: passes one so worker processes persist across enumerations
+        #: optional warm verification-pool manager; the eval harness and
+        #: the daemon pass one so worker threads persist across
+        #: enumerations
         self.pool_manager = pool_manager
 
     def close(self) -> None:

@@ -110,8 +110,8 @@ class EnumeratorConfig:
     #: verification workers; 1 = inline (no pool)
     workers: int = 1
     #: verification backend: "threads" (GIL-releasing SQLite probes run
-    #: in parallel), "processes" (every cascade stage parallelises over
-    #: Database.snapshot() payloads), or "inline" (workers must be 1)
+    #: in parallel on ``workers`` threads) or "inline" (workers must be
+    #: 1)
     verify_backend: str = "threads"
     #: frontier truncation width for the beam engines
     beam_width: int = 16
@@ -162,9 +162,9 @@ class EnumeratorConfig:
     #: Deterministic fault-injection plan (``--fault-plan`` /
     #: ``$REPRO_FAULTS``; see :mod:`repro.faults`). None — the seed and
     #: production behaviour — injects nothing and leaves every seam on
-    #: its zero-cost fast path. The spec rides ``VerifierConfig`` into
-    #: process workers; injections surface in the faults_injected /
-    #: transient_retries telemetry and the daemon's [faults] stats.
+    #: its zero-cost fast path. The spec rides ``VerifierConfig``;
+    #: injections surface in the faults_injected / transient_retries
+    #: telemetry and the daemon's [faults] stats.
     fault_plan: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -271,8 +271,9 @@ class Enumerator:
         self._ctx = GuidanceContext(nlq=nlq, schema=self.schema,
                                     gold=gold, task_id=task_id)
         # ``pool_manager`` (the SearchProblem contract's optional hook)
-        # lets the eval harness lease warm, long-lived verification
-        # workers instead of spawning a pool per enumeration.
+        # lets the eval harness and the daemon lease warm, long-lived
+        # verification threads instead of spawning a pool per
+        # enumeration.
         self.pool_manager = pool_manager
         # ``cancel_token`` (also part of the SearchProblem contract) is
         # a cooperative :class:`CancelToken` polled by the engine; a

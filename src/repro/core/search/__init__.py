@@ -23,20 +23,18 @@ everything else in the submodules is an implementation detail):
     one ``GuidanceModel.score_batch()`` call.
 
 **Verification pools** (``parallel.py``)
-    :func:`make_verification_pool` builds the per-enumeration backend
-    (:data:`VERIFY_BACKENDS`: inline / threads / processes, validated by
-    :func:`validate_verification_config`); :class:`VerificationPool` and
-    :class:`ProcessVerificationPool` are the engine-spawned pools.
-    :class:`PoolManager` is the harness-owned persistence layer: it
-    keeps one warm :class:`PersistentProcessPool` per database across
-    enumerations and hands the engine :class:`PersistentPoolLease`
-    views, so workers spawn once and snapshots prime once per database
-    instead of once per task.
+    :class:`PoolManager` leases every enumeration its pool: inline
+    verification on the caller's thread for one worker, otherwise a
+    :class:`PoolLease` over the database's warm :class:`WorkerPool`
+    (worker threads over per-thread SQLite connection forks), so
+    threads spawn and snapshots rehydrate once per database instead of
+    once per task. :data:`VERIFY_BACKENDS` (inline / threads) is
+    validated by :func:`validate_verification_config`.
 
 **Probe-cache persistence** (``cachestore.py``)
     :class:`PersistentProbeCache` saves/loads shared probe caches to a
-    JSON store keyed by ``Database.content_hash()``, so repeated runs on
-    the same corpus warm-start across processes.
+    SQLite store keyed by ``Database.content_hash()``, so repeated runs
+    on the same corpus warm-start across processes.
 
 **Telemetry** (``telemetry.py``)
     :class:`SearchTelemetry` accompanies every run: per-stage prunes,
@@ -70,15 +68,11 @@ from .frontier import (
     structural_key,
 )
 from .parallel import (
-    PersistentPoolLease,
-    PersistentProcessPool,
-    PersistentThreadPool,
-    PersistentThreadPoolLease,
+    BaseVerificationPool,
+    PoolLease,
     PoolManager,
-    ProcessVerificationPool,
     VERIFY_BACKENDS,
-    VerificationPool,
-    make_verification_pool,
+    WorkerPool,
     validate_verification_config,
 )
 from .planner import (
@@ -92,6 +86,7 @@ from .scheduler import DecisionScheduler
 from .telemetry import SearchTelemetry
 
 __all__ = [
+    "BaseVerificationPool",
     "BeamFrontier",
     "BestFirstFrontier",
     "COST_ABORT",
@@ -105,25 +100,20 @@ __all__ = [
     "Frontier",
     "NO_JOIN_PATH",
     "PROBE_PLANNER_MODES",
-    "PersistentPoolLease",
     "PersistentProbeCache",
-    "PersistentProcessPool",
-    "PersistentThreadPool",
-    "PersistentThreadPoolLease",
     "PlannerCounters",
+    "PoolLease",
     "PoolManager",
     "ProbePlan",
     "ProbePlanner",
-    "ProcessVerificationPool",
     "SearchEngine",
     "SearchProblem",
     "SearchState",
     "SearchTelemetry",
     "UNRESOLVED_DECISION",
     "VERIFY_BACKENDS",
-    "VerificationPool",
+    "WorkerPool",
     "make_frontier",
-    "make_verification_pool",
     "structural_key",
     "validate_cost_order",
     "validate_probe_planner",

@@ -315,7 +315,7 @@ class PersistentProbeCache:
         are force-flushed first so a save is always complete.
         """
         cache.flush_evicted()
-        probes, minmax, _ = cache.export()
+        probes, minmax = cache.export()
         return self.save_entries(db.schema.name, db.content_hash(),
                                  probes, minmax)
 

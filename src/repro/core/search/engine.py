@@ -8,9 +8,9 @@ splits them into stages wired back together per expansion round:
 2. **Schedule** every pending guidance decision of the batch through the
    :class:`~.scheduler.DecisionScheduler` (one
    ``GuidanceModel.score_batch`` call).
-3. **Verify** the batch concurrently on the
-   :class:`~.parallel.VerificationPool` (per-thread database forks, one
-   shared probe cache).
+3. **Verify** the batch concurrently on a
+   :class:`~.parallel.PoolLease` (per-thread database forks, one shared
+   probe cache), or inline with one worker.
 4. **Consume** the batch sequentially in priority order: prune, expand,
    or emit.
 
@@ -39,11 +39,7 @@ from ...sqlir.ast import Query
 from ...sqlir.canon import signature
 from ..verifier import VerifyResult
 from .frontier import Frontier
-from .parallel import (
-    Job,
-    make_verification_pool,
-    validate_verification_config,
-)
+from .parallel import Job, PoolManager, validate_verification_config
 from .scheduler import DecisionScheduler
 from .telemetry import SearchTelemetry
 
@@ -163,8 +159,9 @@ class SearchProblem:
     * ``verifier`` — the primary :class:`~repro.core.verifier.Verifier`
     * ``pool_manager`` — optional
       :class:`~repro.core.search.parallel.PoolManager`; when present the
-      engine leases its verification pool from it (warm, harness-owned
-      workers) instead of spawning one per enumeration
+      engine leases its verification pool from it (warm workers owned
+      by the harness or daemon), otherwise from a private manager it
+      closes when the enumeration ends
     * ``root_state()`` — the initial :class:`SearchState`
     * ``priority(state)`` — heap priority tuple (smaller pops first)
     * ``decision_request(state)`` — the pending
@@ -266,23 +263,19 @@ class SearchEngine:
         config = problem.config
         telemetry = self.telemetry
         frontier = self.frontier
-        # Everything after pool construction runs under try/finally, so
-        # worker connections and stats are folded back even when frontier
-        # seeding or an expansion raises mid-enumeration (the pool's
-        # close() is idempotent, so double-closing is harmless). A
-        # harness-owned PoolManager supplies a warm lease instead of a
-        # per-enumeration pool; closing a lease retires it without
-        # stopping the shared workers.
+        # Everything after the lease runs under try/finally, so worker
+        # stats are folded back even when frontier seeding or an
+        # expansion raises mid-enumeration (the pool's close() is
+        # idempotent, so double-closing is harmless). Closing a lease
+        # retires it without stopping the manager's warm workers; a
+        # private manager (none passed) is closed right after it.
         manager = getattr(problem, "pool_manager", None)
-        if manager is not None:
-            pool = manager.lease(problem.verifier,
-                                 backend=self.verify_backend,
-                                 workers=self.workers)
-        else:
-            pool = make_verification_pool(problem.verifier,
-                                          backend=self.verify_backend,
-                                          workers=self.workers)
-        telemetry.pool_reused = getattr(pool, "reused", False)
+        private = None
+        if manager is None:
+            manager = private = PoolManager(max_pools=1)
+        pool = manager.lease(problem.verifier, backend=self.verify_backend,
+                             workers=self.workers)
+        telemetry.pool_reused = pool.reused
         # A batching guidance wrapper may be shared across enumerations
         # (the eval harness wraps the oracle once per run), so record
         # counter deltas, not totals — the same discipline as the
@@ -300,8 +293,8 @@ class SearchEngine:
         evictions_start = cache.evictions
         evicted_flushed_start = cache.evicted_flushed
         # The probe planner, like the cache, may be shared across
-        # enumerations (thread forks share the primary's; process
-        # workers fold deltas back into it) — record per-run deltas.
+        # enumerations (and thread forks share the primary's) — record
+        # per-run deltas.
         planner = getattr(problem.verifier, "planner", None)
         planner_start = planner.counters.copy() if planner is not None \
             else None
@@ -326,10 +319,10 @@ class SearchEngine:
         start = time.monotonic()
         try:
             if pool.workers != self.workers:
-                # The pool degraded (no sqlite snapshot support or
-                # unshippable verifier state): report the effective
-                # worker count and stop speculating over batches that
-                # nothing will verify in parallel.
+                # The pool degraded (no sqlite snapshot support, an
+                # unavailable pool, a closed manager): report the
+                # effective worker count and stop speculating over
+                # batches that nothing will verify in parallel.
                 self.workers = pool.workers
                 if self._configured_batch_size is None:
                     self.batch_size = frontier.batch_hint(self.workers)
@@ -462,7 +455,11 @@ class SearchEngine:
                             (problem.priority(child), next(counter)), child)
         finally:
             try:
-                pool.close()
+                try:
+                    pool.close()
+                finally:
+                    if private is not None:
+                        private.close()
             finally:
                 telemetry.wall_time = time.monotonic() - start
                 telemetry.beam_dropped = frontier.dropped
@@ -484,9 +481,9 @@ class SearchEngine:
                     telemetry.guide_requests = self.scheduler.calls
                     telemetry.guide_calls = self.scheduler.calls
                     telemetry.guide_batch_calls = self.scheduler.batches
-                # Refreshed here because the process pool can degrade
-                # mid-run (worker crash): report the effective state —
-                # a degraded lease ran inline, not on a warm pool.
+                # Refreshed here because a lease can degrade mid-run (a
+                # failed batch): report the effective state — a
+                # degraded lease ran inline, not on a warm pool.
                 telemetry.snapshot_degraded = pool.degraded
                 telemetry.workers = pool.workers
                 if pool.degraded:

@@ -1,48 +1,40 @@
 """Parallel verification stage.
 
 Verification dominates enumeration cost: every popped state pays a
-cascade of checks, and the later stages execute probe SQL. Two pool
-backends run a round's verifications concurrently:
+cascade of checks, and the later stages execute probe SQL. One
+mechanism runs a round's verifications:
 
-* :class:`VerificationPool` (``backend="threads"``) — worker threads
-  over per-thread SQLite connection forks. SQLite releases the GIL
-  while stepping statements, so the GIL-releasing probe stages run
-  truly in parallel; the CPU-bound stages (clauses, semantics, column
-  types) still serialise on the GIL.
-* :class:`ProcessVerificationPool` (``backend="processes"``) — worker
-  subprocesses that rehydrate :meth:`Database.from_snapshot` payloads
-  once per worker and verify pickled job batches. Every cascade stage
-  parallelises, including the CPU-bound ones. Workers warm-start their
-  probe caches from the primary cache (so cross-task cache reuse
-  carries into subprocesses) and ship newly answered probes back, so
-  later tasks on the same database benefit too.
+* ``workers == 1`` runs them inline on the caller's thread
+  (:class:`BaseVerificationPool`).
+* ``workers > 1`` runs them on a :class:`WorkerPool`: a warm
+  :class:`~concurrent.futures.ThreadPoolExecutor` for one database whose
+  worker threads each own a :meth:`Database.from_snapshot` connection
+  fork. SQLite releases the GIL while stepping statements, so the probe
+  stages run truly in parallel; the CPU-bound stages (clauses,
+  semantics, column types) still serialise on the GIL. The engine
+  drives a :class:`PoolLease` per enumeration; the pool's threads and
+  forks outlive the lease.
 
-Both backends share the contract that makes speculative batching safe:
-verification outcomes are *returned*, not recorded. The engine records
-each outcome into the primary verifier's stats exactly once, when the
-state is consumed, so stats stay identical to the serial enumerator
-even under speculative batching. Database execution counters and probe
-cache hit/miss counters accrued by workers are folded back into the
-primary objects, so telemetry is complete regardless of backend.
+Worker pools are owned by a :class:`PoolManager` (one per database,
+LRU-bounded), never by the engine: the daemon's manager, the manager of
+a harness run's ``ServiceContext``, or a private manager the engine
+opens and closes around a single enumeration when none is passed. So
+there is one lifecycle, one degrade ladder, and one stat-fold protocol.
 
-Both of those pools are *engine-spawned*: built when an enumeration
-starts, torn down in its ``try``/``finally``. The third layer in this
-module is *harness-owned*: a :class:`PoolManager` keeps one warm
-:class:`PersistentProcessPool` per database, reused across
-enumerations, and hands the engine :class:`PersistentPoolLease` views
-whose ``close()`` retires the lease but leaves the workers running —
-so worker spawn and snapshot priming are paid once per database, not
-once per task. Persistent workers are task-agnostic (they hold only
-the database and a probe cache); every job batch carries a task token,
-the verifier state, and the probe-cache delta since the last sync, so
-the same workers serve task after task and a worker that missed a
-batch still converges.
+The contract that makes speculative batching safe: verification
+outcomes are *returned*, not recorded. The engine records each outcome
+into the primary verifier's stats exactly once, when the state is
+consumed, so stats stay identical to the serial enumerator even under
+speculative batching. Thread forks share the primary's probe cache and
+planner directly; only database statement counters accrue on the forks,
+and lease ``close()`` folds them back into the primary database.
 
-When the sqlite3 build cannot serialize databases (or the verifier
-state cannot be shipped to subprocesses) a pool degrades to inline
-verification on the caller's thread — visibly: a warning is logged and
-the pool's ``degraded``/``degrade_reason`` attributes are set, which
-the engine surfaces as ``SearchTelemetry.snapshot_degraded``.
+Every failure degrades to inline verification on the caller's thread —
+visibly: a warning is logged and the lease's ``degraded`` /
+``degrade_reason`` attributes are set, which the engine surfaces as
+``SearchTelemetry.snapshot_degraded``. An unsnapshottable database
+marks its pool unavailable for good; a failed batch retires the pool
+(the next lease respawns it) behind a :class:`RespawnBreaker`.
 
 Pools are context managers and ``close()`` is idempotent; the engine
 drives them via ``try``/``finally`` so worker connections and stats
@@ -53,17 +45,16 @@ from __future__ import annotations
 
 import itertools
 import logging
-import pickle
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ... import faults
 from ...db.database import Database
 from ...errors import ExecutionError
-from ..verifier import SharedProbeCache, Verifier, VerifyResult
+from ..verifier import Verifier, VerifyResult
 from ...sqlir.ast import Query
 
 logger = logging.getLogger(__name__)
@@ -72,7 +63,7 @@ logger = logging.getLogger(__name__)
 Job = Tuple[Query, bool]
 
 #: Recognised verification backends (CLI/config validation).
-VERIFY_BACKENDS = ("inline", "threads", "processes")
+VERIFY_BACKENDS = ("inline", "threads")
 
 
 def _validated_workers(workers: int) -> int:
@@ -89,8 +80,8 @@ def validate_verification_config(backend: str, workers: int) -> int:
     """Validate a (backend, workers) combination; returns the count.
 
     The single boundary check shared by :class:`EnumeratorConfig`,
-    :func:`make_verification_pool`, and the CLI wiring, so the rules
-    (and their error messages) cannot drift apart.
+    :meth:`PoolManager.lease`, and the CLI wiring, so the rules (and
+    their error messages) cannot drift apart.
     """
     if backend not in VERIFY_BACKENDS:
         raise ValueError(f"unknown verify_backend {backend!r}; expected "
@@ -104,22 +95,22 @@ def validate_verification_config(backend: str, workers: int) -> int:
 
 
 class BaseVerificationPool:
-    """Lifecycle and fallback machinery shared by every backend.
+    """Inline verification on the caller's thread.
 
-    Subclasses implement worker startup in ``__init__`` and override
-    :meth:`run`/:meth:`close`; the base provides validated worker
-    counts, the visible inline-degrade path, the inline fallback
-    itself, and the context-manager protocol around an idempotent
-    ``close()``.
+    The ``workers == 1`` pool, and the surface every pool shares with
+    the engine: ``run``/``close``/``workers``/``degraded``/``reused``,
+    the visible inline-degrade path, and the context-manager protocol
+    around an idempotent ``close()``.
     """
-
-    backend = "base"
 
     def __init__(self, verifier: Verifier, workers: int = 1):
         self.verifier = verifier
         self.workers = _validated_workers(workers)
         self.degraded = False
         self.degrade_reason = ""
+        #: True when the pool attached to an already-warm worker pool
+        #: (no executor spawn, no snapshot rehydration in the workers)
+        self.reused = False
         self._closed = False
 
     def _degrade(self, reason: str) -> None:
@@ -128,10 +119,10 @@ class BaseVerificationPool:
         self.degraded = True
         self.degrade_reason = reason
         logger.warning(
-            "%s verification pool degraded to inline verification: %s",
-            self.backend, reason)
+            "verification pool degraded to inline verification: %s",
+            reason)
 
-    def _prefetch(self, verifier: Verifier, jobs: Sequence[Job]) -> None:
+    def _prefetch(self, jobs: Sequence[Job]) -> None:
         """Hand the round to the probe planner before verifying it.
 
         With ``probe_planner="batch"`` the planner fuses the round's
@@ -142,20 +133,25 @@ class BaseVerificationPool:
         cascade then finds its probes already answered. A no-op
         otherwise (no planner, or mode ``plan``).
         """
-        if verifier.planner is not None:
-            verifier.planner.prefetch(verifier, jobs)
+        planner = self.verifier.planner
+        if planner is not None:
+            planner.prefetch(self.verifier, jobs)
 
     def _run_inline(self, jobs: Sequence[Job]) -> List[VerifyResult]:
-        self._prefetch(self.verifier, jobs)
+        self._prefetch(jobs)
         return [self.verifier.verify(query, treat_as_partial=partial,
                                      record=False)
                 for query, partial in jobs]
 
     def run(self, jobs: Sequence[Job]) -> List[VerifyResult]:
-        raise NotImplementedError
+        """Verify all jobs; results align positionally with ``jobs``."""
+        if not jobs:
+            return []
+        return self._run_inline(jobs)
 
     def close(self) -> None:
-        raise NotImplementedError
+        """Nothing to release inline. Idempotent."""
+        self._closed = True
 
     def __enter__(self):
         return self
@@ -165,363 +161,75 @@ class BaseVerificationPool:
         return False
 
 
-class VerificationPool(BaseVerificationPool):
-    """Runs verification jobs inline or across worker threads."""
+#: Lease tokens, unique per lease: a worker thread re-forks its
+#: verifier when a batch from a new lease reaches it.
+_LEASE_TOKENS = itertools.count(1)
 
-    backend = "threads"
 
-    def __init__(self, verifier: Verifier, workers: int = 1):
-        super().__init__(verifier, workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._payload: Optional[bytes] = None
-        self._local = threading.local()
-        self._forks: List[Verifier] = []
-        self._forks_lock = threading.Lock()
-        if self.workers > 1:
-            try:
-                self._payload = verifier.db.snapshot()
-            except ExecutionError as exc:
-                self._degrade(str(exc))
-            else:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-verify")
+class PoolLease(BaseVerificationPool):
+    """One enumeration's view of a :class:`WorkerPool`.
 
-    # ------------------------------------------------------------------
-    def _thread_verifier(self) -> Verifier:
-        verifier = getattr(self._local, "verifier", None)
-        if verifier is None:
-            db = Database.from_snapshot(self.verifier.db.schema,
-                                        self._payload)
-            verifier = self.verifier.fork(db)
-            self._local.verifier = verifier
-            with self._forks_lock:
-                self._forks.append(verifier)
-        return verifier
+    ``close()`` folds the forks' statement counters back into the
+    primary database and retires the lease; the pool's threads (and
+    their database forks) stay warm for the next enumeration.
+    """
 
-    def _verify_job(self, job: Job) -> VerifyResult:
-        query, treat_as_partial = job
-        return self._thread_verifier().verify(
-            query, treat_as_partial=treat_as_partial, record=False)
+    def __init__(self, pool: "WorkerPool", verifier: Verifier,
+                 reused: bool, degrade_reason: str = ""):
+        super().__init__(verifier, pool.workers)
+        #: the pool batches run on; None once the lease degraded (a
+        #: retire folds the stats of batches that ran before it)
+        self._pool: Optional[WorkerPool] = pool
+        self.token = next(_LEASE_TOKENS)
+        self.reused = reused
+        if degrade_reason:
+            self._pool = None
+            self._degrade(degrade_reason)
 
-    # ------------------------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> List[VerifyResult]:
         """Verify all jobs; results align positionally with ``jobs``."""
         if not jobs:
             return []
-        if self._pool is None or len(jobs) == 1:
+        pool = self._pool
+        if pool is None or len(jobs) == 1:
             return self._run_inline(jobs)
         # Round batching runs on the primary connection before the
         # round is dispatched: fused answers land in the shared cache,
         # so worker threads mostly hit instead of probing individually.
-        self._prefetch(self.verifier, jobs)
+        self._prefetch(jobs)
         try:
-            return list(self._pool.map(self._verify_job, jobs))
+            results = pool.map(self, jobs)
         except Exception as exc:
-            self._degrade(f"worker batch failed: {exc}")
-            pool, self._pool = self._pool, None
-            pool.shutdown(wait=False)
+            reason = f"worker batch failed: {exc}"
+        else:
+            if results is not None:
+                return results
+            reason = "pool retired by a concurrent lease"
+        self._pool = None
+        self._degrade(reason)
         # Rerun outside the except: if inline verification fails too,
         # that failure propagates (the engine surfaces it) instead of
         # being mistaken for a cured batch.
         return self._run_inline(jobs)
 
     def close(self) -> None:
-        """Shut the pool down and fold fork counters into the primary.
-
-        Idempotent, and exception-safe: every fork connection is closed
-        even if folding one fork's stats raises.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-        finally:
-            self._pool = None
-            forks, self._forks = self._forks, []
-            errors: List[BaseException] = []
-            for fork in forks:
-                try:
-                    self.verifier.db.merge_stats(fork.db.stats)
-                except BaseException as exc:  # keep closing the rest
-                    errors.append(exc)
-                finally:
-                    try:
-                        fork.db.close()
-                    except BaseException as exc:
-                        errors.append(exc)
-            if errors:
-                raise errors[0]
-
-
-# ----------------------------------------------------------------------
-# Process-pool backend
-# ----------------------------------------------------------------------
-#: Per-process verifier, installed by the pool initializer.
-_WORKER_VERIFIER: Optional[Verifier] = None
-
-
-def _process_worker_init(schema, payload, tsq, literals, config, rules,
-                         cache_seed) -> None:
-    """Rehydrate the database snapshot once per worker process."""
-    global _WORKER_VERIFIER
-    db = Database.from_snapshot(schema, payload)
-    cache = SharedProbeCache()
-    cache.enable_journal()
-    probes, minmax, warm = cache_seed
-    cache.seed(probes, minmax, warm_keys=warm)
-    # Seeded entries stay in the previous generation, so hits on them
-    # count as cross-task hits — they came from earlier enumerations.
-    cache.begin_task()
-    _WORKER_VERIFIER = Verifier(db, tsq=tsq, literals=literals,
-                                config=config, rules=rules,
-                                probe_cache=cache)
-
-
-def _process_worker_batch(jobs: Sequence[Job]):
-    """Verify one job batch; returns results + counter deltas."""
-    verifier = _WORKER_VERIFIER
-    assert verifier is not None, "worker initializer did not run"
-    return _verify_batch_with_deltas(verifier, jobs)
-
-
-def _verify_batch_with_deltas(verifier: Verifier, jobs: Sequence[Job]):
-    """Verify ``jobs`` on ``verifier``; returns results + counter deltas.
-
-    The common worker-side epilogue of both process backends: database
-    statement counters, probe-cache hit/miss/cross-task/warm-start
-    counters, and probe-planner counters are returned as deltas (so the
-    primary can fold them in), along with the journal of entries this
-    batch answered. Round batching happens here too — each worker's
-    planner (rebuilt from the shipped :class:`VerifierConfig`) fuses
-    its chunk's probes against its own database connection before the
-    cascade runs.
-    """
-    cache = verifier.probe_cache
-    planner = verifier.planner
-    injector = faults.ACTIVE
-    faults_before = injector.snapshot() if injector is not None else None
-    poison_result = False
-    if injector is not None:
-        # This function runs only in *process* workers (thread backends
-        # call verifier.verify directly), so a crash here kills a
-        # subprocess, never the primary. The raised marker exception is
-        # how the primary attributes the death to the injector — the
-        # worker's own counters die with the batch.
-        rule = injector.draw("pool.worker")
-        if rule is not None:
-            if rule.mode == "crash":
-                raise RuntimeError(
-                    "[injected:pool.worker] worker crashed mid-batch")
-            if rule.mode == "hang":
-                time.sleep(min(rule.delay, 30.0))
-                injector.note_absorbed("pool.worker")
-            else:  # unpicklable: poison the *result* pickle below
-                poison_result = True
-    stats_before = verifier.db.stats.snapshot()
-    hits, misses = cache.hits, cache.misses
-    cross = cache.cross_task_hits
-    warm = cache.warm_start_hits
-    planner_before = planner.counters.copy() if planner is not None else None
-    if planner is not None:
-        planner.prefetch(verifier, jobs)
-    results = [verifier.verify(query, treat_as_partial=partial,
-                               record=False)
-               for query, partial in jobs]
-    planner_delta = planner.counters.delta_since(planner_before).as_tuple() \
-        if planner is not None else None
-    if poison_result:
-        return faults.UnpicklableResult()
-    faults_delta = injector.delta_since(faults_before) \
-        if injector is not None else None
-    return (results,
-            verifier.db.stats.delta_since(stats_before),
-            cache.hits - hits,
-            cache.misses - misses,
-            cache.cross_task_hits - cross,
-            cache.warm_start_hits - warm,
-            cache.drain_journal(),
-            planner_delta,
-            faults_delta)
-
-
-class ProcessVerificationPool(BaseVerificationPool):
-    """Runs verification job batches across worker subprocesses.
-
-    Unlike the thread pool, every cascade stage — including the
-    CPU-bound clause/semantics/column-type checks — runs in parallel,
-    because each worker is a separate interpreter. Jobs and results are
-    pickled; workers are primed once with the database snapshot and the
-    verifier's (picklable) configuration, and each worker keeps a
-    private :class:`SharedProbeCache` seeded from the primary cache.
-    Newly answered probes travel back with each batch and are merged
-    into the primary cache, so cross-task reuse works in both
-    directions.
-    """
-
-    backend = "processes"
-
-    def __init__(self, verifier: Verifier, workers: int = 1):
-        super().__init__(verifier, workers)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        if self.workers > 1:
-            self._start()
-
-    def _start(self) -> None:
-        verifier = self.verifier
-        try:
-            payload = verifier.db.snapshot()
-        except ExecutionError as exc:
-            self._degrade(str(exc))
-            return
-        try:
-            # Verifier state must survive the trip into the workers;
-            # custom rule sets with unpicklable callables degrade here
-            # rather than crash mid-search. Only the risky components
-            # are probed — the snapshot payload is plain bytes and the
-            # cache export plain dicts, and re-pickling a multi-MB
-            # payload once per enumeration would be pure waste.
-            pickle.dumps((verifier.tsq, verifier.literals,
-                          verifier.config, verifier.rules))
-        except Exception as exc:
-            self._degrade(f"verifier state is not picklable: {exc}")
-            return
-        initargs = (verifier.db.schema, payload, verifier.tsq,
-                    verifier.literals, verifier.config, verifier.rules,
-                    verifier.probe_cache.export())
-        try:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_process_worker_init,
-                initargs=initargs)
-        except (OSError, ValueError) as exc:
-            self._degrade(f"cannot start worker processes: {exc}")
-
-    # ------------------------------------------------------------------
-    def run(self, jobs: Sequence[Job]) -> List[VerifyResult]:
-        """Verify all jobs; results align positionally with ``jobs``."""
-        if not jobs:
-            return []
-        if self._pool is None or len(jobs) == 1:
-            return self._run_inline(jobs)
-        chunk = -(-len(jobs) // self.workers)  # ceil division
-        chunks = [jobs[i:i + chunk] for i in range(0, len(jobs), chunk)]
-        try:
-            outcomes = list(self._pool.map(_process_worker_batch, chunks))
-        except Exception as exc:
-            # A broken pool (worker crash, unpicklable query) must not
-            # abort the search: degrade to inline for the rest of it.
-            faults.note_injected_failure(exc)
-            pool, self._pool = self._pool, None
-            if pool is not None:
-                pool.shutdown(wait=False)
-            self._degrade(f"worker batch failed: {exc}")
-            return self._run_inline(jobs)
-        results: List[VerifyResult] = []
-        cache = self.verifier.probe_cache
-        planner = self.verifier.planner
-        for batch_results, stats, hits, misses, cross, warm, journal, \
-                planner_delta, faults_delta in outcomes:
-            results.extend(batch_results)
-            self.verifier.db.merge_stats(stats)
-            cache.merge_remote(hits, misses, cross, warm, *journal)
-            if planner is not None and planner_delta is not None:
-                planner.merge_remote(planner_delta)
-            if faults_delta:
-                faults.absorb_remote(faults_delta)
-        return results
-
-    def close(self) -> None:
-        """Shut the worker processes down. Idempotent."""
+        """Retire the lease, folding fork statement counters back into
+        the primary database. The pool's threads stay warm. Idempotent."""
         if self._closed:
             return
         self._closed = True
         pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=True)
-
-
-# ----------------------------------------------------------------------
-# Persistent process pools (harness-owned, reused across enumerations)
-# ----------------------------------------------------------------------
-#: Per-process state for the *persistent* worker protocol. Unlike the
-#: per-enumeration pool above, the database and probe cache outlive any
-#: single task; the verifier is rebuilt lazily whenever a batch arrives
-#: carrying a new task token.
-_PWORKER_DB: Optional[Database] = None
-_PWORKER_CACHE: Optional[SharedProbeCache] = None
-_PWORKER_VERIFIER: Optional[Verifier] = None
-_PWORKER_TOKEN: Optional[int] = None
-
-
-def _persistent_worker_init(schema, payload, cache_seed) -> None:
-    """Prime a persistent worker: rehydrate the snapshot exactly once.
-
-    The database and probe cache built here serve *every* enumeration
-    routed through this worker for the lifetime of the pool — this is
-    the spawn + snapshot cost the persistent pool amortises.
-    """
-    global _PWORKER_DB, _PWORKER_CACHE, _PWORKER_VERIFIER, _PWORKER_TOKEN
-    _PWORKER_DB = Database.from_snapshot(schema, payload)
-    cache = SharedProbeCache()
-    cache.enable_journal()
-    probes, minmax, warm = cache_seed
-    cache.seed(probes, minmax, warm_keys=warm)
-    _PWORKER_CACHE = cache
-    _PWORKER_VERIFIER = None
-    _PWORKER_TOKEN = None
-
-
-def _persistent_worker_batch(payload):
-    """Verify one batch of a persistent pool.
-
-    ``payload`` is ``(token, task_state, sync, jobs)``. Every batch is
-    self-describing: ``task_state`` carries the (picklable) verifier
-    configuration and ``sync`` the probe-cache entries added on the
-    primary since the pool last synced, so a worker that missed earlier
-    batches — or an entire earlier task — still converges. Applying the
-    sync is idempotent (probe answers are facts), and the verifier is
-    only rebuilt when the task token actually changes.
-    """
-    token, task_state, sync, jobs = payload
-    global _PWORKER_VERIFIER, _PWORKER_TOKEN
-    db, cache = _PWORKER_DB, _PWORKER_CACHE
-    assert db is not None and cache is not None, \
-        "persistent worker initializer did not run"
-    # Seed before any begin_task bump below: entries answered by earlier
-    # tasks land in an earlier generation, so hits on them keep counting
-    # as cross-task reuse inside workers too (and disk-loaded entries
-    # keep their warm stamp, so warm-start hits classify correctly).
-    probes, minmax, warm = sync
-    cache.seed(dict(probes), dict(minmax), warm_keys=warm)
-    if token != _PWORKER_TOKEN:
-        tsq, literals, config, rules = task_state
-        _PWORKER_VERIFIER = Verifier(db, tsq=tsq, literals=literals,
-                                     config=config, rules=rules,
-                                     probe_cache=cache)
-        cache.begin_task()
-        _PWORKER_TOKEN = token
-    return _verify_batch_with_deltas(_PWORKER_VERIFIER, jobs)
-
-
-#: Sync payload for degraded leases (never shipped -- they run inline).
-_EMPTY_SYNC = ((), (), (frozenset(), frozenset()))
-
-#: Task tokens for the persistent worker protocol, unique per lease.
-_LEASE_TOKENS = itertools.count(1)
+            pool.fold_stats()
 
 
 class RespawnBreaker:
-    """Circuit breaker over persistent-pool worker respawns.
+    """Circuit breaker over worker-pool respawns.
 
-    Each :meth:`record` marks one pool retirement (a worker crash or a
-    poisoned executor). ``threshold`` retirements inside ``window``
-    seconds trip the breaker: the pool marks itself unavailable, so
-    later leases degrade to inline *visibly* instead of feeding a
-    respawn storm — spawning workers into whatever keeps killing them
-    costs far more than inline verification.
+    Each :meth:`record` marks one pool retirement (a failed batch).
+    ``threshold`` retirements inside ``window`` seconds trip the
+    breaker: the pool marks itself unavailable, so later leases degrade
+    to inline *visibly* instead of feeding a respawn storm.
     """
 
     def __init__(self, threshold: int = 3, window: float = 30.0,
@@ -545,177 +253,17 @@ class RespawnBreaker:
         return self.tripped
 
 
-class PersistentPoolLease(BaseVerificationPool):
-    """One enumeration's view of a :class:`PersistentProcessPool`.
-
-    Implements the same surface the engine drives (``run``/``close``/
-    ``workers``/``degraded``) but ``close()`` only retires the lease —
-    the worker processes stay warm for the next enumeration. Results
-    and counter deltas fold back per batch, so there is nothing to
-    flush at close time and an exception mid-enumeration loses nothing.
-    """
-
-    backend = "processes"
-
-    def __init__(self, pool: "PersistentProcessPool", verifier: Verifier,
-                 sync, reused: bool, degrade_reason: str = ""):
-        super().__init__(verifier, pool.workers)
-        self._pool: Optional[PersistentProcessPool] = pool
-        self._token = next(_LEASE_TOKENS)
-        self._sync = sync
-        self._task_state = (verifier.tsq, verifier.literals,
-                            verifier.config, verifier.rules)
-        #: True when the lease attached to an already-warm pool (no
-        #: worker spawn, no snapshot priming).
-        self.reused = reused
-        if degrade_reason:
-            self._pool = None
-            self._degrade(degrade_reason)
-
-    def run(self, jobs: Sequence[Job]) -> List[VerifyResult]:
-        """Verify all jobs; results align positionally with ``jobs``."""
-        if not jobs:
-            return []
-        if self._pool is None or self.degraded or len(jobs) == 1:
-            return self._run_inline(jobs)
-        pool = self._pool
-        executor = pool.executor
-        if executor is None:
-            # A sibling lease already retired the pool (its batch hit a
-            # dead worker): degrade this lease without re-retiring —
-            # retire() is not ours to repeat, and the manager will
-            # respawn a fresh executor on the next lease.
-            self._pool = None
-            self._degrade("pool retired by a concurrent lease")
-            return self._run_inline(jobs)
-        chunk = -(-len(jobs) // self.workers)  # ceil division
-        payloads = [(self._token, self._task_state, self._sync,
-                     jobs[i:i + chunk])
-                    for i in range(0, len(jobs), chunk)]
-        try:
-            # Collect *every* outcome before folding any delta below: a
-            # batch that dies mid-iteration (worker crash, retire from
-            # another thread) must fold nothing, so the inline rerun
-            # cannot double-count worker telemetry or cache deltas.
-            outcomes = list(executor.map(_persistent_worker_batch,
-                                         payloads))
-        except Exception as exc:
-            # A dead worker poisons the whole executor: degrade this
-            # lease to inline and retire the pool so the manager
-            # respawns a fresh one for the next enumeration.
-            faults.note_injected_failure(exc)
-            self._pool = None
-            pool.retire(f"worker batch failed: {exc}")
-            self._degrade(f"worker batch failed: {exc}")
-            return self._run_inline(jobs)
-        results: List[VerifyResult] = []
-        cache = self.verifier.probe_cache
-        planner = self.verifier.planner
-        for batch_results, stats, hits, misses, cross, warm, journal, \
-                planner_delta, faults_delta in outcomes:
-            results.extend(batch_results)
-            self.verifier.db.merge_stats(stats)
-            cache.merge_remote(hits, misses, cross, warm, *journal)
-            if planner is not None and planner_delta is not None:
-                planner.merge_remote(planner_delta)
-            if faults_delta:
-                faults.absorb_remote(faults_delta)
-        return results
-
-    def close(self) -> None:
-        """Retire the lease; the pool's workers stay warm. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._pool = None
-
-
-class PersistentThreadPoolLease(BaseVerificationPool):
-    """One enumeration's view of a :class:`PersistentThreadPool`.
-
-    The thread analogue of :class:`PersistentPoolLease`: ``close()``
-    retires the lease but leaves the executor (and its warm per-thread
-    database forks) running for the next enumeration. Because thread
-    forks share the primary's probe cache and planner directly, only
-    database statement counters need folding back — which ``close()``
-    does as deltas, so a fork serving many leases never double-counts.
-    """
-
-    backend = "threads"
-
-    def __init__(self, pool: "PersistentThreadPool", verifier: Verifier,
-                 reused: bool, degrade_reason: str = ""):
-        super().__init__(verifier, pool.workers)
-        self._pool: Optional[PersistentThreadPool] = pool
-        #: survives a mid-run degrade, so close() can still fold the
-        #: stats of batches that ran before the pool was retired
-        self._home: Optional[PersistentThreadPool] = pool
-        self._token = next(_LEASE_TOKENS)
-        #: True when the lease attached to an already-warm pool (no
-        #: executor spawn, no snapshot rehydration in the workers).
-        self.reused = reused
-        if degrade_reason:
-            self._pool = None
-            self._home = None
-            self._degrade(degrade_reason)
-
-    def run(self, jobs: Sequence[Job]) -> List[VerifyResult]:
-        """Verify all jobs; results align positionally with ``jobs``."""
-        if not jobs:
-            return []
-        if self._pool is None or self.degraded or len(jobs) == 1:
-            return self._run_inline(jobs)
-        pool = self._pool
-        executor = pool.executor
-        if executor is None:
-            self._pool = None
-            self._degrade("pool retired by a concurrent lease")
-            return self._run_inline(jobs)
-        # Same order as VerificationPool.run: round batching runs on the
-        # primary connection first, so fused answers land in the shared
-        # cache before the workers look.
-        self._prefetch(self.verifier, jobs)
-        try:
-            with pool.run_lock:
-                return list(executor.map(pool.job_runner(self), jobs))
-        except Exception as exc:
-            self._pool = None
-            pool.retire(f"worker batch failed: {exc}")
-            self._degrade(f"worker batch failed: {exc}")
-            return self._run_inline(jobs)
-
-    def close(self) -> None:
-        """Retire the lease, folding fork statement counters back into
-        the primary database. The pool's threads stay warm. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        pool, self._home = self._home, None
-        self._pool = None
-        if pool is not None:
-            pool.fold_stats(self.verifier)
-
-
-class PersistentThreadPool:
+class WorkerPool:
     """A warm :class:`~concurrent.futures.ThreadPoolExecutor` for one
     database, reused across enumerations.
 
-    The warm variant of the ``threads`` backend: per-thread
-    :meth:`Database.from_snapshot` forks are rehydrated once and then
-    kept alive across enumerations, so threaded sessions stop paying
-    the snapshot-rehydrate cost per task. Per-lease :class:`Verifier`
-    forks are rebuilt lazily on each worker thread the first time a
-    batch from a new lease arrives (task state is cheap thread-side —
-    no pickling), while the database connections persist.
-
-    Owned by a :class:`PoolManager` (opt-in via ``warm_threads=True``),
-    never by the engine. Batches from concurrent leases are serialised
-    by ``run_lock`` — the thread forks are shared mutable state, unlike
-    process workers — which also gives a daemon round-robin fairness
-    across sessions of one database for free.
+    Per-thread :meth:`Database.from_snapshot` forks are rehydrated once
+    and kept alive across leases; per-lease :class:`Verifier` forks are
+    rebuilt lazily on each worker thread the first time a batch from a
+    new lease arrives. Batches from concurrent leases are serialised by
+    ``run_lock`` (the thread forks are shared mutable state), which also
+    gives a daemon round-robin fairness across sessions of one database.
     """
-
-    backend = "threads"
 
     #: Respawn circuit breaker: this many retires within the window (s)
     #: mark the pool unavailable — leases then degrade inline visibly.
@@ -726,12 +274,14 @@ class PersistentThreadPool:
         self.db = db
         self.workers = _validated_workers(workers)
         self.executor: Optional[ThreadPoolExecutor] = None
+        #: times an executor was started
         self.spawns = 0
         self.leases = 0
         self.breaker = RespawnBreaker(self.BREAKER_THRESHOLD,
                                       self.BREAKER_WINDOW)
-        #: nonempty once the database proved unsnapshottable (cannot
-        #: heal; later leases degrade immediately)
+        #: nonempty once the database proved unsnapshottable — a
+        #: db-level failure that cannot heal, so later leases degrade
+        #: immediately instead of re-paying a doomed snapshot attempt
         self.unavailable_reason = ""
         self._payload: Optional[bytes] = None
         self._local = threading.local()
@@ -740,26 +290,24 @@ class PersistentThreadPool:
         #: close() folds only the delta accrued since
         self._folded: Dict[int, object] = {}
         self._lock = threading.Lock()
-        #: serialises batches (and stat folds) across leases
+        #: serialises batches, retires, and stat folds across leases
         self.run_lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def lease(self, verifier: Verifier) -> PersistentThreadPoolLease:
+    def lease(self, verifier: Verifier) -> PoolLease:
         """A pool view for one enumeration by ``verifier``. Degrades
         (visibly, via the lease) rather than raising."""
         self.leases += 1
         if self.unavailable_reason:
-            return PersistentThreadPoolLease(
-                self, verifier, reused=False,
-                degrade_reason=self.unavailable_reason)
+            return PoolLease(self, verifier, reused=False,
+                             degrade_reason=self.unavailable_reason)
         reused = self.executor is not None
         if not reused:
             reason = self._start(verifier)
             if reason:
-                return PersistentThreadPoolLease(self, verifier,
-                                                 reused=False,
-                                                 degrade_reason=reason)
-        return PersistentThreadPoolLease(self, verifier, reused=reused)
+                return PoolLease(self, verifier, reused=False,
+                                 degrade_reason=reason)
+        return PoolLease(self, verifier, reused=reused)
 
     def _start(self, verifier: Verifier) -> str:
         """Snapshot the database and spawn the executor; '' on success."""
@@ -770,17 +318,17 @@ class PersistentThreadPool:
             return self.unavailable_reason
         self.executor = ThreadPoolExecutor(
             max_workers=self.workers,
-            thread_name_prefix="repro-warm-verify")
+            thread_name_prefix="repro-verify")
         self.spawns += 1
         return ""
 
     # ------------------------------------------------------------------
-    def _thread_verifier(self, lease: PersistentThreadPoolLease) -> Verifier:
+    def _thread_verifier(self, lease: PoolLease) -> Verifier:
         """The calling worker thread's verifier for ``lease``.
 
-        The database fork persists for the lifetime of the pool (the
-        warm structure); the verifier fork is swapped whenever a batch
-        from a new lease reaches this thread.
+        The database fork persists for the lifetime of the executor;
+        the verifier fork is swapped whenever a batch from a new lease
+        reaches this thread.
         """
         local = self._local
         db = getattr(local, "db", None)
@@ -790,45 +338,69 @@ class PersistentThreadPool:
             with self._lock:
                 self._fork_dbs.append(db)
                 self._folded[id(db)] = db.stats.snapshot()
-        if getattr(local, "token", None) != lease._token:
+        if getattr(local, "token", None) != lease.token:
             local.verifier = lease.verifier.fork(db)
-            local.token = lease._token
+            local.token = lease.token
         return local.verifier
 
-    def job_runner(self, lease: PersistentThreadPoolLease):
+    def map(self, lease: PoolLease,
+            jobs: Sequence[Job]) -> Optional[List[VerifyResult]]:
+        """Verify ``jobs`` on the worker threads for ``lease``.
+
+        Returns ``None`` when the pool was already retired (by a
+        sibling lease's failed batch). A failed batch retires the pool
+        and re-raises, so the lease degrades and reruns it inline.
+        """
+
         def verify(job: Job) -> VerifyResult:
+            injector = faults.ACTIVE
+            if injector is not None:
+                faults.fire_pool_worker(injector)
             query, treat_as_partial = job
             return self._thread_verifier(lease).verify(
                 query, treat_as_partial=treat_as_partial, record=False)
-        return verify
 
-    def fold_stats(self, verifier: Verifier) -> None:
-        """Fold fork statement-counter deltas into ``verifier``'s db."""
         with self.run_lock:
-            with self._lock:
-                dbs = list(self._fork_dbs)
-            for db in dbs:
-                delta = db.stats.delta_since(self._folded[id(db)])
-                self._folded[id(db)] = db.stats.snapshot()
-                verifier.db.merge_stats(delta)
+            executor = self.executor
+            if executor is None:
+                return None
+            try:
+                return list(executor.map(verify, jobs))
+            except Exception as exc:
+                self.retire(f"worker batch failed: {exc}")
+                raise
+
+    def fold_stats(self) -> None:
+        """Fold fork statement-counter deltas into the primary database
+        (every lease's verifier runs on it: pools are keyed by it)."""
+        with self.run_lock, self._lock:
+            self._fold_locked()
+
+    def _fold_locked(self) -> None:
+        for db in self._fork_dbs:
+            delta = db.stats.delta_since(self._folded[id(db)])
+            self._folded[id(db)] = db.stats.snapshot()
+            self.db.merge_stats(delta)
 
     # ------------------------------------------------------------------
     def retire(self, reason: str) -> None:
         """Shut the executor down after a failure; the manager respawns
-        a fresh one on the next lease. Idempotent."""
+        a fresh one on the next lease. Idempotent: a second retire (or a
+        retire racing close()) is a silent no-op."""
         executor, self.executor = self.executor, None
         if executor is None:
             return
-        executor.shutdown(wait=False)
+        # Let in-flight jobs finish before their connections close.
+        executor.shutdown(wait=True, cancel_futures=True)
         self._discard_forks()
-        logger.warning("persistent thread pool for %r retired: %s",
+        logger.warning("worker pool for %r retired: %s",
                        self.db.schema.name, reason)
         if self.breaker.record() and not self.unavailable_reason:
             self.unavailable_reason = (
                 f"worker-respawn circuit breaker open: "
                 f"{self.breaker.retires} retires within "
                 f"{self.breaker.window:.0f}s (last: {reason})")
-            logger.warning("persistent thread pool for %r: %s",
+            logger.warning("worker pool for %r: %s",
                            self.db.schema.name, self.unavailable_reason)
 
     def close(self) -> None:
@@ -840,7 +412,10 @@ class PersistentThreadPool:
         self._discard_forks()
 
     def _discard_forks(self) -> None:
+        """Close the fork connections, folding their unfolded counters
+        first, so a retire or close loses no statement stats."""
         with self._lock:
+            self._fold_locked()
             dbs, self._fork_dbs = self._fork_dbs, []
             self._folded = {}
         self._local = threading.local()
@@ -851,173 +426,25 @@ class PersistentThreadPool:
                 pass
 
 
-class PersistentProcessPool:
-    """A warm :class:`~concurrent.futures.ProcessPoolExecutor` for one
-    database, reused across enumerations.
-
-    Owned by a :class:`PoolManager`, never by the engine: the engine
-    drives :class:`PersistentPoolLease` objects handed out per
-    enumeration and the executor survives each lease's ``close()``.
-    Workers are primed once with the database snapshot
-    (``_persistent_worker_init``); per-task verifier state and probe
-    cache deltas travel with every job batch, so the same workers serve
-    task after task without respawning.
-    """
-
-    #: Respawn circuit breaker: this many retires within the window (s)
-    #: mark the pool unavailable — leases then degrade inline visibly.
-    BREAKER_THRESHOLD = 3
-    BREAKER_WINDOW = 30.0
-
-    def __init__(self, db: Database, workers: int):
-        self.db = db
-        self.workers = _validated_workers(workers)
-        self.executor: Optional[ProcessPoolExecutor] = None
-        #: times an executor was started (the acceptance counter for
-        #: "zero new pool workers mid-sweep")
-        self.spawns = 0
-        self.leases = 0
-        self.breaker = RespawnBreaker(self.BREAKER_THRESHOLD,
-                                      self.BREAKER_WINDOW)
-        #: nonempty once the database proved unsnapshottable — a
-        #: db-level failure that cannot heal, so later leases degrade
-        #: immediately instead of re-paying a doomed snapshot attempt.
-        self.unavailable_reason = ""
-        #: the cache whose journal feeds the per-task delta sync
-        self._cache: Optional[SharedProbeCache] = None
-
-    # ------------------------------------------------------------------
-    def lease(self, verifier: Verifier) -> PersistentPoolLease:
-        """A pool view for one enumeration by ``verifier``.
-
-        Degrades (visibly, via the lease) rather than raising: an
-        unsnapshottable database, an unpicklable verifier state, or a
-        failed executor spawn all yield an inline lease, never a crash.
-        """
-        self.leases += 1
-        if self.unavailable_reason:
-            return PersistentPoolLease(
-                self, verifier, _EMPTY_SYNC, reused=False,
-                degrade_reason=self.unavailable_reason)
-        try:
-            # Task state ships with every batch, so it must survive
-            # pickling even when the executor is already warm.
-            pickle.dumps((verifier.tsq, verifier.literals,
-                          verifier.config, verifier.rules))
-        except Exception as exc:
-            return PersistentPoolLease(
-                self, verifier, _EMPTY_SYNC, reused=False,
-                degrade_reason=f"verifier state is not picklable: {exc}")
-        reused = self.executor is not None
-        if not reused:
-            reason = self._start(verifier)
-            if reason:
-                return PersistentPoolLease(self, verifier, _EMPTY_SYNC,
-                                           reused=False,
-                                           degrade_reason=reason)
-        sync = self._sync_payload(verifier.probe_cache)
-        return PersistentPoolLease(self, verifier, sync, reused=reused)
-
-    def _start(self, verifier: Verifier) -> str:
-        """Spawn the executor; returns a degrade reason or ''."""
-        try:
-            payload = verifier.db.snapshot()
-        except ExecutionError as exc:
-            self.unavailable_reason = str(exc)
-            return self.unavailable_reason
-        cache = verifier.probe_cache
-        try:
-            self.executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_persistent_worker_init,
-                initargs=(verifier.db.schema, payload, cache.export()))
-        except (OSError, ValueError) as exc:
-            return f"cannot start worker processes: {exc}"
-        self.spawns += 1
-        # Workers were seeded with this cache's full contents; journal
-        # it from now on so later leases ship only the delta.
-        self._cache = cache
-        cache.enable_journal()
-        return ""
-
-    def _sync_payload(self, cache: SharedProbeCache):
-        """Probe-cache entries the workers have not been sent yet.
-
-        Usually the primary cache's journal delta since the previous
-        lease. When a lease arrives with a *different* cache object
-        (e.g. probe-cache sharing disabled harness-side), workers are
-        over-seeded with that cache's full contents instead — seeding
-        is idempotent, so over-sending costs bytes, never correctness.
-        """
-        if cache is self._cache:
-            probes, minmax = cache.drain_journal()
-            # Journalled entries were computed this process, never warm.
-            return (tuple(probes), tuple(minmax), (frozenset(), frozenset()))
-        probes, minmax, warm = cache.export()
-        self._cache = cache
-        cache.enable_journal()
-        return (tuple(probes.items()), tuple(minmax.items()), warm)
-
-    # ------------------------------------------------------------------
-    def retire(self, reason: str) -> None:
-        """Shut the executor down after a worker failure; the manager
-        will spawn a fresh one on the next lease. Idempotent: a second
-        retire (or a retire racing close()) is a silent no-op."""
-        executor, self.executor = self.executor, None
-        if executor is None:
-            return
-        executor.shutdown(wait=False)
-        logger.warning("persistent process pool for %r retired: %s",
-                       self.db.schema.name, reason)
-        if self.breaker.record() and not self.unavailable_reason:
-            self.unavailable_reason = (
-                f"worker-respawn circuit breaker open: "
-                f"{self.breaker.retires} retires within "
-                f"{self.breaker.window:.0f}s (last: {reason})")
-            logger.warning("persistent process pool for %r: %s",
-                           self.db.schema.name, self.unavailable_reason)
-
-    def close(self) -> None:
-        """Shut the worker processes down for good. Idempotent."""
-        executor, self.executor = self.executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
 class PoolManager:
-    """Harness-owned registry of warm verification pools, per database.
+    """Registry of warm :class:`WorkerPool` objects, one per database.
 
-    The engine-spawned pools above pay worker spawn and snapshot
-    priming once per *enumeration*; a harness that runs hundreds of
-    tasks over a handful of databases pays that cost hundreds of times.
-    The manager keeps one :class:`PersistentProcessPool` per database
-    across enumerations (and across ``run_simulation`` /
-    ``run_detail_sweep`` / ``run_ablations`` calls, when shared), so
-    workers spawn once, snapshots prime once, and probe-cache deltas
-    sync per task.
-
-    ``lease()`` is the single entry point and also the policy boundary:
-    backends that are cheap to spawn (``inline``, by default
-    ``threads``) or single-worker configurations fall back to a plain
-    per-enumeration pool, so the manager can be attached
-    unconditionally. ``warm_threads=True`` opts multi-worker ``threads``
-    leases into warm :class:`PersistentThreadPool` pools too (the
-    daemon's ServiceContext does this, so threaded sessions get the
-    same amortisation). Pools are evicted least-recently-used beyond
-    ``max_pools`` to bound worker processes when sweeping many
-    databases.
+    ``lease()`` is the single entry point and the policy boundary:
+    single-worker configurations get an inline
+    :class:`BaseVerificationPool` (counted as ``fallback_leases``), and
+    multi-worker ones a :class:`PoolLease` over the database's warm (or
+    newly spawned) pool, so callers need no policy of their own. Pools
+    are evicted least-recently-used beyond ``max_pools`` to bound worker
+    threads when sweeping many databases.
     """
 
-    def __init__(self, max_pools: int = 8, warm_threads: bool = False):
+    def __init__(self, max_pools: int = 8):
         if max_pools < 1:
             raise ValueError(f"max_pools must be >= 1 (got {max_pools})")
         self.max_pools = max_pools
-        #: opt-in: serve multi-worker ``threads`` leases from warm
-        #: per-database thread pools instead of falling back
-        self.warm_threads = warm_threads
-        #: (id(db), backend) -> (db, pool); the strong db reference both
-        #: keys the pool and prevents id() reuse while the entry lives
-        self._pools: "OrderedDict[Tuple[int, str], Tuple[Database, object]]" = \
+        #: id(db) -> (db, pool); the strong db reference both keys the
+        #: pool and prevents id() reuse while the entry lives
+        self._pools: "OrderedDict[int, Tuple[Database, WorkerPool]]" = \
             OrderedDict()
         self._lock = threading.Lock()
         self.fallback_leases = 0
@@ -1026,61 +453,54 @@ class PoolManager:
     # ------------------------------------------------------------------
     @property
     def closed(self) -> bool:
-        """True once :meth:`close` ran (leases fall back from then on)."""
+        """True once :meth:`close` ran (leases run inline from then on)."""
         return self._closed
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Spawn/lease counters (tests assert zero mid-sweep spawns)."""
+        """Spawn/lease counters (the daemon's ``stats`` pool section)."""
         with self._lock:
-            pools = list(self._pools.values())
+            pools = [pool for _, pool in self._pools.values()]
+            fallback = self.fallback_leases
         return {
             "pools": len(pools),
-            "worker_spawns": sum(pool.spawns for _, pool in pools),
-            "persistent_leases": sum(pool.leases for _, pool in pools),
-            "fallback_leases": self.fallback_leases,
-            "pool_retires": sum(pool.breaker.retires for _, pool in pools),
-            "breaker_trips": sum(1 for _, pool in pools
+            "worker_spawns": sum(pool.spawns for pool in pools),
+            "persistent_leases": sum(pool.leases for pool in pools),
+            "fallback_leases": fallback,
+            "pool_retires": sum(pool.breaker.retires for pool in pools),
+            "breaker_trips": sum(1 for pool in pools
                                  if pool.breaker.tripped),
         }
 
-    def lease(self, verifier: Verifier, backend: str = "processes",
-              workers: int = 1):
-        """A verification pool for one enumeration.
+    def lease(self, verifier: Verifier, backend: str = "threads",
+              workers: int = 1) -> BaseVerificationPool:
+        """A verification pool for one enumeration by ``verifier``.
 
-        Returns a :class:`PersistentPoolLease` (or, with
-        ``warm_threads=True``, a :class:`PersistentThreadPoolLease`)
-        over a warm (or newly spawned) per-database pool when the
-        configuration can benefit (``workers > 1``); otherwise falls
-        back to :func:`make_verification_pool`, so callers need no
-        policy of their own.
+        A closed manager still answers, with an inline pool that is
+        visibly degraded when parallelism was asked for.
         """
         workers = validate_verification_config(backend, workers)
-        persistent = workers > 1 and (
-            backend == "processes"
-            or (backend == "threads" and self.warm_threads))
-        if self._closed or not persistent:
+        if workers > 1 and not self._closed:
+            return self._pool_for(verifier.db, workers).lease(verifier)
+        with self._lock:
             self.fallback_leases += 1
-            return make_verification_pool(verifier, backend=backend,
-                                          workers=workers)
-        return self._pool_for(verifier.db, workers, backend).lease(verifier)
+        pool = BaseVerificationPool(verifier)
+        if workers > 1:
+            pool._degrade("pool manager is closed")
+        return pool
 
-    def _pool_for(self, db: Database, workers: int, backend: str):
-        evicted: List[object] = []
-        key = (id(db), backend)
+    def _pool_for(self, db: Database, workers: int) -> WorkerPool:
+        evicted: List[WorkerPool] = []
+        key = id(db)
         with self._lock:
             entry = self._pools.get(key)
-            if entry is not None and entry[0] is db \
-                    and entry[1].workers == workers:
+            if entry is not None and entry[1].workers == workers:
                 self._pools.move_to_end(key)
                 pool = entry[1]
             else:
-                if entry is not None:  # same id, different db or width
+                if entry is not None:  # same database, different width
                     evicted.append(self._pools.pop(key)[1])
-                if backend == "threads":
-                    pool = PersistentThreadPool(db, workers)
-                else:
-                    pool = PersistentProcessPool(db, workers)
+                pool = WorkerPool(db, workers)
                 self._pools[key] = (db, pool)
                 while len(self._pools) > self.max_pools:
                     _, (_, old) = self._pools.popitem(last=False)
@@ -1091,9 +511,8 @@ class PoolManager:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut every managed pool down. Idempotent; the manager keeps
-        accepting ``lease()`` calls afterwards but serves only
-        per-enumeration fallback pools."""
+        """Shut every managed pool down. Idempotent; later leases run
+        inline."""
         with self._lock:
             pools, self._pools = list(self._pools.values()), OrderedDict()
             self._closed = True
@@ -1106,18 +525,3 @@ class PoolManager:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-
-def make_verification_pool(verifier: Verifier, backend: str = "threads",
-                           workers: int = 1):
-    """Build the configured verification backend.
-
-    ``inline`` is the degenerate single-worker pool (every verification
-    runs on the caller's thread); ``threads`` and ``processes`` select
-    the pool class. Worker counts below 1 raise — silently running
-    inline when the caller asked for parallelism hides misconfiguration.
-    """
-    workers = validate_verification_config(backend, workers)
-    if backend == "processes":
-        return ProcessVerificationPool(verifier, workers=workers)
-    return VerificationPool(verifier, workers=workers)

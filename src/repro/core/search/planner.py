@@ -66,9 +66,7 @@ run strictly fewer still).
 Thread safety: one planner is shared by a verifier and all its
 thread-pool forks (the same sharing discipline as the probe cache), so
 plan-cache lookups and counter updates take a lock; statement execution
-runs outside it. Process-pool workers build their own planner from the
-shipped :class:`~repro.core.verifier.VerifierConfig` and their counter
-deltas are folded back with each batch.
+runs outside it.
 """
 
 from __future__ import annotations
@@ -165,12 +163,6 @@ class PlannerCounters:
             self.batch_fallbacks - earlier.batch_fallbacks,
             self.fused_groups - earlier.fused_groups,
             self.fuse_fallbacks - earlier.fuse_fallbacks)
-
-    def as_tuple(self) -> Tuple[int, int, int, int, int, int, int]:
-        """Picklable form for the worker-batch delta protocol."""
-        return (self.compiles, self.plan_hits, self.batch_stmts,
-                self.batched_probes, self.batch_fallbacks,
-                self.fused_groups, self.fuse_fallbacks)
 
 
 class ProbePlanner:
@@ -526,21 +518,3 @@ class ProbePlanner:
             self.counters.fused_groups += 1
             self.counters.batched_probes += len(plans)
         return len(plans) + len(columns)
-
-    # ------------------------------------------------------------------
-    # Worker-delta folding (process pools)
-    # ------------------------------------------------------------------
-    def merge_remote(
-            self,
-            delta: Tuple[int, int, int, int, int, int, int]) -> None:
-        """Fold a worker planner's counter deltas into this one."""
-        (compiles, plan_hits, batch_stmts, batched, fallbacks,
-         fused_groups, fuse_fallbacks) = delta
-        with self._lock:
-            self.counters.compiles += compiles
-            self.counters.plan_hits += plan_hits
-            self.counters.batch_stmts += batch_stmts
-            self.counters.batched_probes += batched
-            self.counters.batch_fallbacks += fallbacks
-            self.counters.fused_groups += fused_groups
-            self.counters.fuse_fallbacks += fuse_fallbacks

@@ -17,10 +17,11 @@ class SearchTelemetry:
 
     engine: str = "best-first"
     workers: int = 1
-    #: verification backend ("inline", "threads", or "processes")
+    #: verification backend ("inline" or "threads")
     verify_backend: str = "threads"
     #: True when the verification pool fell back to inline verification
-    #: (no sqlite snapshot support, or unpicklable verifier state)
+    #: (no sqlite snapshot support, a failed worker batch, a closed or
+    #: unavailable pool)
     snapshot_degraded: bool = False
     wall_time: float = 0.0
     #: states expanded (one guidance decision each)
@@ -82,7 +83,7 @@ class SearchTelemetry:
     #: (a delta; nonzero only with a bounded cache *and* a cache_dir)
     evicted_flushed: int = 0
     #: True when verification ran on a warm pool leased from a
-    #: harness-owned PoolManager (no worker spawn, no snapshot priming)
+    #: PoolManager (no worker spawn, no snapshot rehydration)
     pool_reused: bool = False
     #: probe-planner mode for this run ("off", "plan", "batch", "fuse")
     probe_planner: str = "off"

@@ -92,31 +92,27 @@ class VerifierConfig:
     verify_partial: bool = True  # False reproduces the NoPQ ablation
     max_result_rows: int = 5000
     enforce_literal_use: bool = True
-    #: Wall-clock budget for executing one complete candidate during the
-    #: full satisfaction check; candidates that blow the budget (typically
-    #: runaway join paths) are rejected.
+    #: Budget for executing one complete candidate during the full
+    #: satisfaction check; candidates that blow the budget (typically
+    #: runaway join paths) are rejected. Counted in SQLite work, not
+    #: wall time (see :meth:`repro.db.database.Database.interruptible`),
+    #: so the verdict never depends on thread contention.
     execution_budget_ms: int = 250
     #: Probe-planner mode ("off", "plan", "batch", or "fuse" — see
-    #: :mod:`repro.core.search.planner`). Part of the verifier config so
-    #: it ships to process-pool workers with the rest of the verifier
-    #: state; worker verifiers rebuild their own planner from it.
+    #: :mod:`repro.core.search.planner`).
     probe_planner: str = "off"
-    #: Wall-clock budget for executing one probe statement; ``None``
-    #: (the seed behaviour) leaves probes uncapped. A timed-out probe
-    #: draws no conclusion — the candidate stays alive — but stamps
-    #: ``timed_out`` on the :class:`VerifyResult`, which is what the
-    #: cost-order abort cascade keys on.
+    #: Budget for executing one probe statement, counted in SQLite work
+    #: like ``execution_budget_ms``; ``None`` (the seed behaviour)
+    #: leaves probes uncapped. A timed-out probe draws no conclusion —
+    #: the candidate stays alive — but stamps ``timed_out`` on the
+    #: :class:`VerifyResult`, which is what the cost-order abort
+    #: cascade keys on.
     probe_timeout_ms: Optional[int] = None
     #: Cost-order mode ("off", "order", or "abort" — see
-    #: :mod:`repro.core.search.costmodel`). Part of the verifier config
-    #: so it ships to process-pool workers: worker verifiers attach the
-    #: cost model to their rebuilt planner, ordering fused batch arms
-    #: cheapest-first on the worker side too.
+    #: :mod:`repro.core.search.costmodel`).
     cost_order: str = "off"
     #: Deterministic fault-injection plan spec (see :mod:`repro.faults`),
-    #: or ``None`` for production behaviour. Part of the verifier config
-    #: so the plan ships to process-pool workers: a worker rebuilding its
-    #: verifier from this config arms the same injector as the primary.
+    #: or ``None`` for production behaviour.
     fault_plan: Optional[str] = None
 
 
@@ -153,10 +149,8 @@ class SharedProbeCache:
     engine) bump :meth:`begin_task` once per enumeration, and a hit on
     an entry written by an earlier generation is counted separately as a
     cross-task hit, which is how the harness-level cache reuse shows up
-    in telemetry. The process-pool verification backend additionally
-    uses :meth:`export`/:meth:`seed` to warm worker caches, a journal to
-    collect probes answered inside workers, and :meth:`merge_remote` to
-    fold worker counters and entries back into the primary cache.
+    in telemetry. :meth:`export`/:meth:`seed` copy entries out and in,
+    which is how the disk store persists and warm-starts a cache.
 
     Entries seeded from a *persisted* store (an earlier process, via
     ``seed(..., warm=True)``) carry the sentinel :data:`WARM_GENERATION`
@@ -226,8 +220,6 @@ class SharedProbeCache:
             Callable[[Dict[str, bool], Dict[ColumnRef, Tuple]], int]] = None
         self._evicted_probes: Dict[str, bool] = {}
         self._evicted_minmax: Dict[ColumnRef, Tuple] = {}
-        self._journal: Optional[Tuple[List[Tuple[str, bool]],
-                                      List[Tuple[ColumnRef, Tuple]]]] = None
         #: key -> Event for probes currently executing, or None when
         #: single-flight dedup is off (see :meth:`enable_single_flight`)
         self._inflight: Optional[Dict[str, threading.Event]] = None
@@ -366,16 +358,10 @@ class SharedProbeCache:
             return self._generation
 
     # ------------------------------------------------------------------
-    # Worker-process support (export / seed / journal / merge)
+    # Persistence support (export / seed)
     # ------------------------------------------------------------------
-    def export(self) -> Tuple[Dict[str, bool], Dict[ColumnRef, Tuple],
-                              Tuple[frozenset, frozenset]]:
-        """Copies of the cached entries, for seeding worker caches.
-
-        Returns ``(probes, minmax, warm_keys)`` where ``warm_keys`` holds
-        the probe/minmax keys stamped :data:`WARM_GENERATION`, so a
-        seeded worker cache counts warm-start hits the same way the
-        primary does.
+    def export(self) -> Tuple[Dict[str, bool], Dict[ColumnRef, Tuple]]:
+        """Copies of the cached entries, as ``(probes, minmax)``.
 
         A *bounded* cache exports in LRU order (least recently used
         first): dict insertion order is the only recency channel that
@@ -384,10 +370,6 @@ class SharedProbeCache:
         warm start keeps.
         """
         with self._lock:
-            warm = (frozenset(k for k, g in self._probe_gen.items()
-                              if g == self.WARM_GENERATION),
-                    frozenset(k for k, g in self._minmax_gen.items()
-                              if g == self.WARM_GENERATION))
             if self.max_entries is not None:
                 probes: Dict[str, bool] = {}
                 minmax: Dict[ColumnRef, Tuple] = {}
@@ -396,36 +378,31 @@ class SharedProbeCache:
                         probes[key] = self._probes[key]
                     else:
                         minmax[key] = self._minmax[key]
-                return probes, minmax, warm
-            return dict(self._probes), dict(self._minmax), warm
+                return probes, minmax
+            return dict(self._probes), dict(self._minmax)
 
     def seed(self, probes: Dict[str, bool],
              minmax: Dict[ColumnRef, Tuple],
-             warm_keys: Optional[Tuple[frozenset, frozenset]] = None,
              warm: bool = False) -> int:
         """Pre-populate entries; returns the number actually inserted.
 
-        Entries are stamped with the current generation, except those
-        named by ``warm_keys`` (or all of them when ``warm=True``),
-        which get the :data:`WARM_GENERATION` stamp — used when loading
-        a persisted store, so hits on them count as warm-start hits.
+        Entries are stamped with the current generation, or with the
+        :data:`WARM_GENERATION` stamp when ``warm=True`` — used when
+        loading a persisted store, so hits on them count as warm-start
+        hits.
         Already-present entries are never overwritten (probe answers are
         facts of the database, so re-seeding is idempotent).
         """
-        warm_probes = warm_keys[0] if warm_keys else frozenset()
-        warm_minmax = warm_keys[1] if warm_keys else frozenset()
+        generation = self.WARM_GENERATION if warm else self._generation
         inserted = 0
         with self._lock:
             for sql, outcome in probes.items():
                 if sql not in self._probes:
                     self._probes[sql] = outcome
-                    self._probe_gen[sql] = (
-                        self.WARM_GENERATION
-                        if warm or sql in warm_probes else self._generation)
+                    self._probe_gen[sql] = generation
                     self._touch_locked(sql, "probe")
                     inserted += 1
-                    if (self._probe_gen[sql] == self.WARM_GENERATION
-                            and "\x1f\x1f" in sql):
+                    if warm and "\x1f\x1f" in sql:
                         # The persisted store was written under a planner
                         # mode (canonical keys); arm the raw-key fallback
                         # so a planner-off run still gets its warm hits.
@@ -433,62 +410,12 @@ class SharedProbeCache:
             for column, bounds in minmax.items():
                 if column not in self._minmax:
                     self._minmax[column] = bounds
-                    self._minmax_gen[column] = (
-                        self.WARM_GENERATION
-                        if warm or column in warm_minmax
-                        else self._generation)
+                    self._minmax_gen[column] = generation
                     self._touch_locked(column, "minmax")
                     inserted += 1
             self._evict_over_bound_locked()
         self._maybe_flush_evicted()
         return inserted
-
-    def enable_journal(self) -> None:
-        """Record entries inserted from now on (worker caches only)."""
-        with self._lock:
-            self._journal = ([], [])
-
-    def drain_journal(self) -> Tuple[List[Tuple[str, bool]],
-                                     List[Tuple[ColumnRef, Tuple]]]:
-        """Entries inserted since the last drain; resets the journal."""
-        with self._lock:
-            assert self._journal is not None, "journal not enabled"
-            drained, self._journal = self._journal, ([], [])
-            return drained
-
-    def merge_remote(self, hits: int, misses: int, cross_task_hits: int,
-                     warm_start_hits: int,
-                     probes: Sequence[Tuple[str, bool]],
-                     minmax: Sequence[Tuple[ColumnRef, Tuple]]) -> None:
-        """Fold a worker cache's counters and new entries into this one.
-
-        Newly inserted entries are journalled (when the journal is
-        enabled) so a persistent pool manager can ship them to *other*
-        workers on the next task sync.
-        """
-        with self._lock:
-            self.hits += hits
-            self.misses += misses
-            self.cross_task_hits += cross_task_hits
-            self.warm_start_hits += warm_start_hits
-            for sql, outcome in probes:
-                if sql not in self._probes:
-                    self._probes[sql] = outcome
-                    self._probe_gen[sql] = self._generation
-                    self._touch_locked(sql, "probe")
-                    if self._journal is not None:
-                        self._journal[0].append((sql, outcome))
-            for column, bounds in minmax:
-                if column not in self._minmax:
-                    self._minmax[column] = bounds
-                    self._minmax_gen[column] = self._generation
-                    self._touch_locked(column, "minmax")
-                    if self._journal is not None:
-                        self._journal[1].append((column, bounds))
-            # Worker deltas re-deliver entries the bound may since have
-            # evicted here; the bound, not the delta, wins.
-            self._evict_over_bound_locked()
-        self._maybe_flush_evicted()
 
     # ------------------------------------------------------------------
     # Lookup
@@ -522,8 +449,8 @@ class SharedProbeCache:
                     if twin is not None and twin in self._probes:
                         # Alias the raw key to its canonical twin's
                         # answer so planner-off runs hit entries a
-                        # planner-mode run persisted. Not journalled:
-                        # the store re-derives twins at save time.
+                        # planner-mode run persisted. The store
+                        # re-derives twins at save time.
                         self._probes[sql] = self._probes[twin]
                         self._probe_gen[sql] = self._probe_gen[twin]
                         self._touch_locked(sql, "probe")
@@ -591,8 +518,6 @@ class SharedProbeCache:
                     self._probes[key] = outcome
                     self._probe_gen[key] = self._generation
                     self._touch_locked(key, "probe")
-                    if self._journal is not None:
-                        self._journal[0].append((key, outcome))
                     self._evict_over_bound_locked()
                 return self._probes[key]
         finally:
@@ -613,8 +538,8 @@ class SharedProbeCache:
         """Insert a probe answered out of band (a fused prefetch arm).
 
         Counted as a miss — the answer was computed, not served from
-        the cache — and journalled like any other insert, so fused
-        answers flow to worker processes and the persistent store.
+        the cache — and stored like any other insert, so fused answers
+        reach the persistent store too.
         """
         with self._lock:
             self.misses += 1
@@ -622,8 +547,6 @@ class SharedProbeCache:
                 self._probes[key] = outcome
                 self._probe_gen[key] = self._generation
                 self._touch_locked(key, "probe")
-                if self._journal is not None:
-                    self._journal[0].append((key, outcome))
                 self._evict_over_bound_locked()
         self._maybe_flush_evicted()
 
@@ -639,17 +562,15 @@ class SharedProbeCache:
                       bounds: Tuple[Optional[Value],
                                     Optional[Value]]) -> None:
         """Insert bounds computed out of band (a fused scan's MIN/MAX
-        aggregates). Counted as a miss and journalled, mirroring
-        :meth:`record_probe`, so fused bounds flow to worker processes
-        and the persistent store exactly like executed ones."""
+        aggregates). Counted as a miss, mirroring :meth:`record_probe`,
+        so fused bounds reach the persistent store exactly like executed
+        ones."""
         with self._lock:
             self.misses += 1
             if column not in self._minmax:
                 self._minmax[column] = bounds
                 self._minmax_gen[column] = self._generation
                 self._touch_locked(column, "minmax")
-                if self._journal is not None:
-                    self._journal[1].append((column, bounds))
                 self._evict_over_bound_locked()
         self._maybe_flush_evicted()
 
@@ -672,8 +593,6 @@ class SharedProbeCache:
                 self._minmax[column] = bounds
                 self._minmax_gen[column] = self._generation
                 self._touch_locked(column, "minmax")
-                if self._journal is not None:
-                    self._journal[1].append((column, bounds))
             self._evict_over_bound_locked()
             result = self._minmax.get(column)
         if result is None:
@@ -702,8 +621,7 @@ class Verifier:
         self.config = config or VerifierConfig()
         self.rules = rules or RuleSet()
         # Arm the fault injector before any statement can run. Idempotent
-        # per spec: in the primary this is a no-op after the first
-        # verifier, in a process worker it installs the shipped plan.
+        # per spec: a no-op after the first verifier.
         if self.config.fault_plan:
             _ensure_faults_installed(self.config.fault_plan)
         #: failure counts per stage plus "pass"
@@ -725,10 +643,8 @@ class Verifier:
         #: current :meth:`verify` call; folded into the result there.
         self._timed_out = False
         # Cost-aware scheduling orders the planner's fused batch arms
-        # cheapest-first. Attached here (rather than by the engine) so
-        # process-pool workers — which rebuild verifier + planner from
-        # the pickled config — order their arms too. Lazy import: same
-        # package cycle as ProbePlanner above.
+        # cheapest-first. Lazy import: same package cycle as
+        # ProbePlanner above.
         if (self.planner is not None and self.config.cost_order != "off"
                 and getattr(self.planner, "cost_key", None) is None):
             from .search.costmodel import CostModel

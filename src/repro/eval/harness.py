@@ -7,12 +7,13 @@ figures.
 
 The amortisation layers that make repeated evaluation cheap — probe
 caches shared (and disk-persisted) per database, warm verification
-pools leased from the process-wide manager, one batching guidance
-wrapper per run — live in :mod:`repro.serve.context`; each ``run_*``
-call builds one :class:`~repro.serve.context.ServiceContext` and leases
-everything from it, exactly as the synthesis daemon does for its
-lifetime. :class:`ProbeCacheRegistry` and :func:`shared_pool_manager`
-are re-exported here for backwards compatibility.
+pools, one batching guidance wrapper per run — live in
+:mod:`repro.serve.context`; each ``run_*`` call builds one
+:class:`~repro.serve.context.ServiceContext`, leases everything from
+it, and closes it (warm pools included) before returning, exactly as
+the synthesis daemon does for its lifetime.
+:class:`ProbeCacheRegistry` is re-exported here for backwards
+compatibility.
 
 Neither layer changes results: probe answers are facts of the database
 and verification outcomes are folded back identically, so the candidate
@@ -32,7 +33,7 @@ from ..baselines.nli import NLIBaseline
 from ..baselines.squid import SquidPBE
 from ..core.duoquest import Duoquest
 from ..core.enumerator import EnumeratorConfig
-from ..core.search import PoolManager
+from ..core.search import validate_verification_config
 from ..core.tsq import TableSketchQuery
 from ..datasets.facts import build_fact_bank
 from ..datasets.tasks import Task, TaskSet
@@ -54,11 +55,7 @@ from ..interaction.simulated_user import (
     UserSimulator,
     make_cohort,
 )
-from ..serve.context import (
-    ProbeCacheRegistry,
-    ServiceContext,
-    shared_pool_manager,
-)
+from ..serve.context import ProbeCacheRegistry, ServiceContext
 from ..sqlir.canon import queries_equal, signature
 from .metrics import SimTaskRecord
 
@@ -99,12 +96,6 @@ class SimulationConfig:
     #: ``share_probe_cache`` (persistence piggybacks on the per-database
     #: caches); ``None`` disables persistence.
     cache_dir: Optional[str] = None
-    #: lease verification workers from the process-wide
-    #: :func:`shared_pool_manager` instead of spawning a pool per
-    #: enumeration. Only engages when the configuration can benefit
-    #: (``verify_backend="processes"`` and ``workers > 1``); disable to
-    #: force per-enumeration pools (e.g. to benchmark spawn cost).
-    persistent_pool: bool = True
     #: wrap the guidance model in a
     #: :class:`~repro.guidance.batched.BatchingGuidanceModel` shared by
     #: every enumeration of the run — the harness runs many systems and
@@ -150,6 +141,11 @@ class SimulationConfig:
     #: ``None`` disables injection entirely (the seed behaviour).
     fault_plan: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # The enumerator's boundary check, at construction: a bad
+        # backend fails here, not at the first task of a long run.
+        validate_verification_config(self.verify_backend, self.workers)
+
     def enumerator_config(self) -> EnumeratorConfig:
         return EnumeratorConfig(time_budget=self.timeout,
                                 max_candidates=self.max_candidates,
@@ -171,23 +167,15 @@ class SimulationConfig:
 def _context_for(config: SimulationConfig) -> ServiceContext:
     """One :class:`ServiceContext` per ``run_*`` call.
 
-    Owns the run's probe-cache registry and guidance model (both
-    released by ``ctx.close()`` in the run's ``finally``); borrows the
-    process-wide pool manager, so warm verification workers survive
-    across successive runs.
+    Owns the run's probe-cache registry, pool manager, and guidance
+    model, all released by ``ctx.close()`` in the run's ``finally``:
+    with ``workers > 1`` each database's verification threads spawn
+    once per run and are gone when it returns.
     """
     return ServiceContext(_oracle(config),
                           share_probe_cache=config.share_probe_cache,
                           cache_dir=config.cache_dir,
                           probe_cache_entries=config.probe_cache_entries)
-
-
-def _pool_manager_for(config: SimulationConfig,
-                      ctx: ServiceContext) -> Optional[PoolManager]:
-    """The shared manager, when the configuration can benefit from it."""
-    return ctx.pools_for(backend=config.verify_backend,
-                         workers=config.workers,
-                         persistent=config.persistent_pool)
 
 
 def _oracle(config: SimulationConfig) -> GuidanceModel:
@@ -292,7 +280,7 @@ def run_simulation(tasks: TaskSet,
     records: List[SimTaskRecord] = []
     pbe_by_db: Dict[str, SquidPBE] = {}
     caches = ctx.caches
-    pools = _pool_manager_for(config, ctx)
+    pools = ctx.pool_manager
     try:
         for task in tasks:
             db = tasks.database_for(task)
@@ -336,7 +324,7 @@ def run_detail_sweep(tasks: TaskSet,
     model = ctx.guidance
     records: List[SimTaskRecord] = []
     caches = ctx.caches
-    pools = _pool_manager_for(config, ctx)
+    pools = ctx.pool_manager
     try:
         for task in tasks:
             db = tasks.database_for(task)
@@ -371,7 +359,7 @@ def run_ablations(tasks: TaskSet,
     model = ctx.guidance
     records: List[SimTaskRecord] = []
     caches = ctx.caches
-    pools = _pool_manager_for(config, ctx)
+    pools = ctx.pool_manager
     try:
         for task in tasks:
             db = tasks.database_for(task)
@@ -429,7 +417,7 @@ def run_cost_order_audit(tasks: TaskSet,
         ctx = _context_for(cfg)
         model = ctx.guidance
         caches = ctx.caches
-        pools = _pool_manager_for(cfg, ctx)
+        pools = ctx.pool_manager
         answers: Dict[str, frozenset] = {}
         probes = 0
         top10 = 0

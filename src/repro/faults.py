@@ -6,22 +6,20 @@ cold start, retired session → protocol error).  Each was tested by one
 bespoke monkeypatch; none could be exercised together, under load, from
 the CLI.  This module gives them a single switchboard:
 
-* A :class:`FaultPlan` is parsed from a compact spec string — picklable,
-  env-friendly, and shippable to process workers inside
-  ``VerifierConfig``::
+* A :class:`FaultPlan` is parsed from a compact spec string —
+  env-friendly, and carried by ``VerifierConfig``::
 
       seed=7;db.execute:locked:rate=0.05;guidance.connect:refused:times=1
 
   Rules are ``point:mode[:key=value[,key=value]*]`` joined by ``;`` with
   an optional ``seed=N`` item.  Keys: ``rate`` (probability a call at
   the point fires, default 1.0), ``times`` (max injections for the
-  rule), ``after`` (calls at the point to skip first), ``delay``
-  (seconds, for hang modes).
+  rule), and ``after`` (calls at the point to skip first).
 
 * A :class:`FaultInjector` draws faults **deterministically**: each
   point gets its own :class:`random.Random` seeded from
   ``(seed << 16) ^ crc32(point)`` so two runs with the same plan inject
-  the same faults at the same call indices, across processes (``hash()``
+  the same faults at the same call indices, in any process (``hash()``
   is salted per process and must not be used here).
 
 * Every injection is *receipted*: the injector counts ``injected``,
@@ -62,7 +60,6 @@ __all__ = [
     "install",
     "uninstall",
     "ensure_installed",
-    "absorb_remote",
     "injected_total",
     "counters",
 ]
@@ -74,15 +71,14 @@ FAULT_POINTS: Dict[str, Tuple[str, ...]] = {
     "db.execute": ("error", "locked", "timeout"),
     "cachestore.load": ("busy", "torn", "corrupt"),
     "cachestore.save": ("busy", "torn", "corrupt"),
-    "pool.worker": ("crash", "hang", "unpicklable"),
+    "pool.worker": ("crash",),
     "guidance.connect": ("refused",),
     "guidance.transport": ("disconnect", "garbage"),
     "daemon.connection": ("vanish", "oversized"),
 }
 
-# Marker stamped into every injected failure message so the primary can
-# attribute a cross-process worker death to the injector (the worker's
-# own counters die with the batch).
+# Marker stamped into every injected failure message, so a failure that
+# escapes its seam can still be attributed to its fault point.
 _MARKER = "[injected:{point}]"
 
 
@@ -139,7 +135,6 @@ class FaultRule:
     rate: float = 1.0
     times: Optional[int] = None
     after: int = 0
-    delay: float = 0.05
 
     def __post_init__(self) -> None:
         if self.point not in FAULT_POINTS:
@@ -156,8 +151,6 @@ class FaultRule:
             raise ValueError(f"times must be >= 1, got {self.times}")
         if self.after < 0:
             raise ValueError(f"after must be >= 0, got {self.after}")
-        if self.delay < 0:
-            raise ValueError(f"delay must be >= 0, got {self.delay}")
 
 
 @dataclass(frozen=True)
@@ -209,13 +202,10 @@ class FaultPlan:
                             options["times"] = int(raw)
                         elif key == "after":
                             options["after"] = int(raw)
-                        elif key == "delay":
-                            options["delay"] = float(raw)
                         else:
                             raise ValueError(
                                 f"unknown option {key!r} in fault rule "
-                                f"{item!r} (known: rate, times, after, "
-                                "delay)")
+                                f"{item!r} (known: rate, times, after)")
                     except ValueError as exc:
                         if "unknown option" in str(exc):
                             raise
@@ -299,38 +289,11 @@ class FaultInjector:
         with self._lock:
             self.surfaced[point] = self.surfaced.get(point, 0) + count
 
-    def note_remote(self, point: str, *, injected: int = 0,
-                    absorbed: int = 0, surfaced: int = 0) -> None:
-        """Fold counts observed on behalf of a dead worker process."""
-        with self._lock:
-            if injected:
-                self.injected[point] = (self.injected.get(point, 0)
-                                        + injected)
-            if absorbed:
-                self.absorbed[point] = (self.absorbed.get(point, 0)
-                                        + absorbed)
-            if surfaced:
-                self.surfaced[point] = (self.surfaced.get(point, 0)
-                                        + surfaced)
-
     def snapshot(self) -> Dict[str, Dict[str, int]]:
         with self._lock:
             return {"injected": dict(self.injected),
                     "absorbed": dict(self.absorbed),
                     "surfaced": dict(self.surfaced)}
-
-    def delta_since(self, before: Dict[str, Dict[str, int]]
-                    ) -> Dict[str, Dict[str, int]]:
-        now = self.snapshot()
-        delta: Dict[str, Dict[str, int]] = {}
-        for category, counts in now.items():
-            base = before.get(category, {})
-            changed = {point: n - base.get(point, 0)
-                       for point, n in counts.items()
-                       if n - base.get(point, 0)}
-            if changed:
-                delta[category] = changed
-        return delta
 
     def injected_total(self) -> int:
         with self._lock:
@@ -403,9 +366,6 @@ class RetryPolicy:
 
 ACTIVE: Optional[FaultInjector] = None
 _LOCK = threading.Lock()
-# Disposition counts folded back from process workers whose batches
-# completed (their delta rides the result tuple).
-_REMOTE: Dict[str, Dict[str, int]] = {}
 
 
 def install(plan_or_spec) -> FaultInjector:
@@ -422,15 +382,13 @@ def uninstall() -> None:
     global ACTIVE
     with _LOCK:
         ACTIVE = None
-        _REMOTE.clear()
 
 
 def ensure_installed(spec: Optional[str]) -> bool:
     """Idempotently install an injector for ``spec``.
 
-    Called from ``Verifier.__init__`` so process workers — which rebuild
-    their verifier from a pickled ``VerifierConfig`` — arm the same plan
-    as the primary.  Returns True when this call installed it (an
+    Called from ``Verifier.__init__``, so a ``VerifierConfig`` carrying
+    a plan arms it.  Returns True when this call installed it (an
     already-active injector for the same spec is left untouched, its
     counters intact).
     """
@@ -444,38 +402,18 @@ def ensure_installed(spec: Optional[str]) -> bool:
         return True
 
 
-def absorb_remote(delta: Dict[str, Dict[str, int]]) -> None:
-    """Fold a worker batch's fault-counter delta into this process."""
-    if not delta:
-        return
-    with _LOCK:
-        for category, counts in delta.items():
-            bucket = _REMOTE.setdefault(category, {})
-            for point, n in counts.items():
-                bucket[point] = bucket.get(point, 0) + n
-
-
 def injected_total() -> int:
-    """Injections seen by this process: local plus absorbed-remote."""
-    with _LOCK:
-        remote = sum(_REMOTE.get("injected", {}).values())
-        local = ACTIVE
-    return (local.injected_total() if local is not None else 0) + remote
+    """Injections seen by the active injector (0 when none)."""
+    local = ACTIVE
+    return local.injected_total() if local is not None else 0
 
 
 def counters() -> Dict[str, Dict[str, int]]:
-    """Local + remote per-point counters (for stats surfaces)."""
-    with _LOCK:
-        remote = {category: dict(counts)
-                  for category, counts in _REMOTE.items()}
-        local = ACTIVE
-    merged = (local.snapshot() if local is not None
-              else {"injected": {}, "absorbed": {}, "surfaced": {}})
-    for category, counts in remote.items():
-        bucket = merged.setdefault(category, {})
-        for point, n in counts.items():
-            bucket[point] = bucket.get(point, 0) + n
-    return merged
+    """Per-point counters of the active injector (for stats surfaces)."""
+    local = ACTIVE
+    if local is None:
+        return {"injected": {}, "absorbed": {}, "surfaced": {}}
+    return local.snapshot()
 
 
 def note_absorbed_failure(exc: BaseException) -> None:
@@ -495,37 +433,9 @@ def note_surfaced_failure(exc: BaseException) -> None:
         ACTIVE.note_surfaced(point)
 
 
-def note_injected_failure(exc: BaseException,
-                          point: str = "pool.worker") -> bool:
-    """Attribute a cross-process injected failure to the local injector.
-
-    A worker that crashes (or poisons its result pickle) never returns
-    its counter delta — the primary recognises the marker in the raised
-    exception and books the injection here so reconciliation stays
-    exact.  Only ``point`` is claimed: a transient ``db.execute`` fault
-    escaping a *thread* worker was already counted locally.
-    """
-    if ACTIVE is None:
-        return False
-    if injected_point(exc) != point:
-        return False
-    ACTIVE.note_remote(point, injected=1, surfaced=1)
-    return True
-
-
 # ----------------------------------------------------------------------
 # Seam helpers (imported by the instrumented modules)
 # ----------------------------------------------------------------------
-
-class UnpicklableResult:
-    """A worker return value whose pickling deterministically fails."""
-
-    def __reduce__(self):
-        import pickle
-        raise pickle.PicklingError(
-            f"{_MARKER.format(point='pool.worker')} unpicklable worker "
-            "result payload")
-
 
 def fire_cachestore(injector: FaultInjector, point: str) -> None:
     """Raise the drawn cachestore IO fault, if any.
@@ -581,6 +491,22 @@ def fire_guidance_transport(injector: FaultInjector) -> None:
     raise ValueError(
         f"{_MARKER.format(point='guidance.transport')} garbage reply "
         "(unparseable scores line)")
+
+
+def fire_pool_worker(injector: FaultInjector) -> None:
+    """Raise the drawn ``pool.worker`` fault, if any.
+
+    ``crash`` kills the verification job on a worker thread. Booked
+    surfaced immediately: any failed job fails its batch, which retires
+    the worker pool and reruns the batch inline — the visible degrade
+    (``snapshot_degraded``, ``pool_retires``).
+    """
+    rule = injector.draw("pool.worker")
+    if rule is None:
+        return
+    injector.note_surfaced("pool.worker")
+    raise RuntimeError(
+        f"{_MARKER.format(point='pool.worker')} worker crashed mid-batch")
 
 
 def fire_db_execute(injector: FaultInjector, *, armed: bool) -> None:

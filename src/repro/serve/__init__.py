@@ -10,7 +10,7 @@
 """
 
 from .client import ServeRequestError, SynthesisClient
-from .context import ProbeCacheRegistry, ServiceContext, shared_pool_manager
+from .context import ProbeCacheRegistry, ServiceContext
 from .daemon import DaemonHandle, SynthesisDaemon, spawn_daemon
 from .protocol import (
     PROTOCOL_VERSION,
@@ -32,6 +32,5 @@ __all__ = [
     "SynthesisClient",
     "SynthesisDaemon",
     "VERBS",
-    "shared_pool_manager",
     "spawn_daemon",
 ]

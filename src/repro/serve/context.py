@@ -11,10 +11,10 @@ leases from the same machinery:
   reuse earlier ones' probe answers. With ``cache_dir`` set, caches are
   additionally loaded from / saved to a disk store keyed by database
   content hash, so separate processes warm-start too.
-* **Pool persistence** (:func:`shared_pool_manager` /
-  :class:`~repro.core.search.PoolManager`): enumerations lease warm
-  verification workers from a pool manager (per-database sharding, LRU
-  bounds) instead of spawning a pool per task.
+* **Pool persistence** (:class:`~repro.core.search.PoolManager`):
+  multi-worker enumerations lease warm verification threads from the
+  context's pool manager (per-database sharding, LRU bounds) instead of
+  spawning a pool per task.
 * **Guidance sharing**: one batching guidance wrapper serves every
   enumeration in the scope, so its distribution cache amortises across
   tasks and sessions.
@@ -31,7 +31,6 @@ only in telemetry (``warm_start_probe_hits``, ``cross_task_probe_hits``,
 
 from __future__ import annotations
 
-import atexit
 import threading
 import weakref
 from typing import Callable, Dict, List, Optional
@@ -174,7 +173,7 @@ class ProbeCacheRegistry:
             return False
         cache = entry.cache
         cache.flush_evicted()
-        probes, minmax, _ = cache.export()
+        probes, minmax = cache.export()
         return self.store.save_entries(
             entry.store_name, entry.store_hash, probes, minmax) is not None
 
@@ -373,96 +372,34 @@ class ProbeCacheRegistry:
         }
 
 
-#: Lazily created singleton behind :func:`shared_pool_manager`.
-_SHARED_POOL_MANAGER: Optional[PoolManager] = None
-
-#: True once the singleton's atexit hook is installed. One hook serves
-#: every recreation (it closes whatever manager is current at exit), so
-#: recreating after a close must not stack another callback.
-_ATEXIT_REGISTERED = False
-
-
-def _close_shared_pool_manager() -> None:
-    """The single atexit hook: close the *current* shared manager."""
-    manager = _SHARED_POOL_MANAGER
-    if manager is not None:
-        manager.close()
-
-
-def shared_pool_manager() -> PoolManager:
-    """The process-wide :class:`~repro.core.search.PoolManager`.
-
-    All harness entry points lease verification pools from this one
-    manager, so warm worker processes survive not just task-to-task but
-    across successive ``run_simulation`` / ``run_detail_sweep`` /
-    ``run_ablations`` calls on the same databases. Created on first use,
-    closed via ``atexit`` (and recreated transparently if something
-    closed it earlier). The atexit hook is registered exactly once and
-    reads the module global, so recreations do not accumulate
-    dead-manager closures for the life of the process.
-    """
-    global _SHARED_POOL_MANAGER, _ATEXIT_REGISTERED
-    if _SHARED_POOL_MANAGER is None or _SHARED_POOL_MANAGER.closed:
-        _SHARED_POOL_MANAGER = PoolManager()
-        if not _ATEXIT_REGISTERED:
-            atexit.register(_close_shared_pool_manager)
-            _ATEXIT_REGISTERED = True
-    return _SHARED_POOL_MANAGER
-
-
 class ServiceContext:
     """The amortisation state one synthesis service scope shares.
 
     Bundles a :class:`ProbeCacheRegistry`, a
     :class:`~repro.core.search.PoolManager`, and (optionally) one
-    shared guidance model. Two ownership modes:
-
-    * ``pool_manager=None`` (the harness default) **borrows** the
-      process-wide :func:`shared_pool_manager`; :meth:`close` leaves it
-      running so warm workers survive across runs.
-    * an explicit ``pool_manager`` (the daemon) is **owned**: the
-      context closes it — draining every warm pool — on :meth:`close`.
-
-    The guidance model, when given, is always owned: :meth:`close`
-    releases it via :func:`~repro.guidance.batched.close_guidance`
-    (a no-op for plain models, socket close for server-backed ones).
+    shared guidance model — a harness run, or a daemon lifetime. The
+    context owns all three: :meth:`close` retires the caches, shuts
+    every warm pool down, and releases the guidance model via
+    :func:`~repro.guidance.batched.close_guidance` (a no-op for plain
+    models, socket close for server-backed ones).
     """
 
     def __init__(self, guidance: Optional[GuidanceModel] = None, *,
                  share_probe_cache: bool = True,
                  cache_dir: Optional[str] = None,
-                 pool_manager: Optional[PoolManager] = None,
                  probe_cache_entries: Optional[int] = None,
                  max_databases: Optional[int] = None):
         self.caches = ProbeCacheRegistry(enabled=share_probe_cache,
                                          cache_dir=cache_dir,
                                          max_entries=probe_cache_entries,
                                          max_databases=max_databases)
-        self._owns_pools = pool_manager is not None
-        self.pool_manager = pool_manager or shared_pool_manager()
+        self.pool_manager = PoolManager()
         self.guidance = guidance
         self.closed = False
 
     # ------------------------------------------------------------------
     def probe_cache_for(self, db: Database) -> Optional[SharedProbeCache]:
         return self.caches.cache_for(db)
-
-    def pools_for(self, *, backend: str, workers: int,
-                  persistent: bool = True) -> Optional[PoolManager]:
-        """The pool manager, when the configuration can benefit from it.
-
-        ``None`` (per-enumeration pools) when persistence is off, the
-        run is single-worker, or the backend has no warm variant under
-        this manager — handing the manager over in those cases would
-        only route fallback leases through it.
-        """
-        if not persistent or workers <= 1:
-            return None
-        if backend == "processes":
-            return self.pool_manager
-        if backend == "threads" and self.pool_manager.warm_threads:
-            return self.pool_manager
-        return None
 
     def stats(self) -> Dict[str, object]:
         """Live amortisation snapshot (the daemon's ``stats`` verb)."""
@@ -473,7 +410,7 @@ class ServiceContext:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Retire caches, release guidance, and close owned pools.
+        """Retire caches, release guidance, and close the pools.
 
         Idempotent; safe in ``finally`` blocks. Cache retirement — a
         store flush followed by dropping the in-memory entries, so a
@@ -490,8 +427,7 @@ class ServiceContext:
                 if self.guidance is not None:
                     close_guidance(self.guidance)
             finally:
-                if self._owns_pools:
-                    self.pool_manager.close()
+                self.pool_manager.close()
 
     def __enter__(self) -> "ServiceContext":
         return self

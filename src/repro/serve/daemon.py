@@ -49,7 +49,6 @@ from typing import Callable, Dict, List, Optional
 from .. import faults
 from ..core.duoquest import Duoquest, SynthesisResult
 from ..core.enumerator import EnumeratorConfig
-from ..core.search import PoolManager
 from ..core.tsq import TableSketchQuery
 from ..db.database import Database
 from ..errors import ExecutionError
@@ -122,7 +121,6 @@ class SynthesisDaemon:
                  model: Optional[GuidanceModel] = None,
                  cache_dir: Optional[str] = None,
                  max_concurrent: int = 4,
-                 warm_threads: bool = True,
                  session_max_candidates: Optional[int] = None,
                  session_max_probes: Optional[int] = None,
                  max_terminal_sessions: Optional[int] = None,
@@ -141,7 +139,6 @@ class SynthesisDaemon:
             server=self.config.guidance_server)
         self.context = ServiceContext(
             guidance, cache_dir=cache_dir,
-            pool_manager=PoolManager(warm_threads=warm_threads),
             probe_cache_entries=self.config.probe_cache_entries,
             max_databases=(max_cached_databases
                            if max_cached_databases is not None
@@ -478,9 +475,7 @@ class SynthesisDaemon:
         system = Duoquest(db, model=self.context.guidance,
                           config=self.config,
                           probe_cache=self.context.probe_cache_for(db),
-                          pool_manager=self.context.pools_for(
-                              backend=self.config.verify_backend,
-                              workers=self.config.workers))
+                          pool_manager=self.context.pool_manager)
         max_candidates = payload.get("max_candidates",
                                      self.session_max_candidates)
         max_probes = payload.get("max_probes", self.session_max_probes)

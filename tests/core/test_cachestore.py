@@ -168,7 +168,7 @@ class TestRoundTrip:
         cache = populated_cache(movie_db)
         path = store.save(movie_db, cache)
         assert path is not None and path.exists()
-        probes, minmax = cache.export()[:2]
+        probes, minmax = cache.export()
         loaded = store.load(movie_db)
         assert loaded is not None
         # The store is dual-keyed: every cached entry round-trips, and

@@ -18,10 +18,7 @@ from repro import faults
 from repro.core import Duoquest
 from repro.core.enumerator import EnumeratorConfig
 from repro.core.search.cachestore import PersistentProbeCache
-from repro.core.search.parallel import (
-    PersistentThreadPool,
-    RespawnBreaker,
-)
+from repro.core.search.parallel import RespawnBreaker, WorkerPool
 from repro.core.tsq import TableSketchQuery
 from repro.core.verifier import SharedProbeCache
 from repro.db.database import Database
@@ -340,9 +337,9 @@ class TestRespawnBreaker:
     def test_pool_opens_the_breaker_after_repeated_retires(self, db):
         from concurrent.futures import ThreadPoolExecutor
 
-        pool = PersistentThreadPool(db, workers=2)
+        pool = WorkerPool(db, workers=2)
         try:
-            for _ in range(PersistentThreadPool.BREAKER_THRESHOLD):
+            for _ in range(WorkerPool.BREAKER_THRESHOLD):
                 # retire() only counts a live executor (the manager
                 # respawns one per lease in production).
                 pool.executor = ThreadPoolExecutor(max_workers=1)
@@ -409,16 +406,17 @@ class TestDegradeLadderAudit:
     @pytest.mark.skipif(not Database.supports_snapshots(),
                         reason="no snapshot support")
     def test_pool_worker_crash_reconciles_via_the_primary(self, db):
-        """A crashed process worker cannot return its counters; the
-        primary recognises the marker and books the injection, and the
-        lease visibly degrades to inline verification."""
+        """A crashed worker job fails its batch: the pool retires, the
+        lease visibly degrades, and the batch reruns inline — every
+        injection booked surfaced on the primary's injector."""
         result = synthesize(db, EnumeratorConfig(
             time_budget=5.0, max_candidates=4, workers=2,
-            verify_backend="processes",
             fault_plan="pool.worker:crash:times=1"))
         assert result.candidates  # the run survived the crash
         self.assert_reconciled(faults.counters(), "pool.worker")
         assert result.telemetry.faults_injected >= 1
+        assert result.telemetry.snapshot_degraded
+        assert result.telemetry.workers == 1
 
 
 class TestEquivalenceWhenDisabled:

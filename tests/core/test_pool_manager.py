@@ -1,11 +1,12 @@
-"""Persistent verification pools: leases, reuse, sync, and failure.
+"""Warm verification pools: leases, reuse, cache sharing, and failure.
 
-The PoolManager contract under test: workers spawn once per database
-and survive lease ``close()`` (the engine's ``finally`` must never kill
-the shared executor), probe answers discovered anywhere propagate to
-every worker by the next task, configurations that cannot benefit fall
-back to plain per-enumeration pools, and every failure mode degrades
-to inline verification visibly instead of crashing the enumeration.
+The PoolManager contract under test: worker threads spawn once per
+database and survive lease ``close()`` (the engine's ``finally`` must
+never kill the shared executor), every lease's worker threads verify
+against that lease's probe cache (so answers found anywhere are reused
+by the next task), single-worker configurations fall back to inline
+pools, and every failure mode degrades to inline verification visibly
+instead of crashing the enumeration.
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ import pytest
 
 from repro.core.enumerator import Enumerator, EnumeratorConfig
 from repro.core.search.parallel import (
-    PersistentPoolLease,
-    PersistentProcessPool,
+    BaseVerificationPool,
+    PoolLease,
     PoolManager,
-    ProcessVerificationPool,
-    VerificationPool,
 )
 from repro.core.tsq import TableSketchQuery
 from repro.core.verifier import SharedProbeCache, Verifier
@@ -52,23 +51,25 @@ class TestLeaseLifecycle:
             cache = SharedProbeCache()
             for _ in range(3):
                 lease = manager.lease(make_verifier(movie_db, cache),
-                                      backend="processes", workers=2)
+                                      workers=2)
                 results = lease.run(make_jobs(movie_db))
                 assert all(r.ok for r in results)
                 lease.close()
-            stats = manager.stats
-            assert stats["pools"] == 1
-            assert stats["worker_spawns"] == 1
-            assert stats["persistent_leases"] == 3
+            # Every key the daemon's stats verb reports.
+            assert manager.stats == {
+                "pools": 1, "worker_spawns": 1, "persistent_leases": 3,
+                "fallback_leases": 0, "pool_retires": 0,
+                "breaker_trips": 0}
 
     @needs_snapshots
     def test_first_lease_cold_rest_reused(self, movie_db):
         with PoolManager() as manager:
             cache = SharedProbeCache()
             first = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
+                                  workers=2)
             second = manager.lease(make_verifier(movie_db, cache),
-                                   backend="processes", workers=2)
+                                   workers=2)
+            assert type(first) is type(second) is PoolLease
             assert not first.reused
             assert second.reused
 
@@ -77,7 +78,7 @@ class TestLeaseLifecycle:
         with PoolManager() as manager:
             cache = SharedProbeCache()
             lease = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
+                                  workers=2)
             lease.run(make_jobs(movie_db))
             lease.close()
             lease.close()  # idempotent
@@ -89,49 +90,46 @@ class TestLeaseLifecycle:
         cache = SharedProbeCache()
         with PoolManager() as manager:
             with manager.lease(make_verifier(movie_db, cache),
-                               backend="processes", workers=2) as lease:
+                               workers=2) as lease:
                 assert lease.run(make_jobs(movie_db))
 
     @needs_snapshots
     def test_manager_close_shuts_pools_and_falls_back(self, movie_db):
         manager = PoolManager()
         cache = SharedProbeCache()
-        manager.lease(make_verifier(movie_db, cache),
-                      backend="processes", workers=2).close()
+        manager.lease(make_verifier(movie_db, cache), workers=2).close()
+        _, pool = next(iter(manager._pools.values()))
         manager.close()
         manager.close()  # idempotent
         assert manager.closed
-        # Still usable — but only hands out per-enumeration pools now.
-        pool = manager.lease(make_verifier(movie_db, cache),
-                             backend="processes", workers=2)
-        assert isinstance(pool, ProcessVerificationPool)
-        pool.close()
+        assert pool.executor is None
+        assert manager.stats["pools"] == 0
+        # Still usable — but only hands out visibly degraded inline
+        # pools now, which still answer.
+        fallback = manager.lease(make_verifier(movie_db, cache), workers=2)
+        assert type(fallback) is BaseVerificationPool
+        assert fallback.degraded and fallback.workers == 1
+        assert "closed" in fallback.degrade_reason
+        assert all(r.ok for r in fallback.run(make_jobs(movie_db)))
+        fallback.close()
 
 
 class TestFallbackPolicy:
-    """lease() is the policy boundary: configurations that cannot
-    benefit from warm processes get plain per-enumeration pools."""
+    """lease() is the policy boundary: single-worker configurations get
+    an inline pool and never touch a worker pool."""
 
     def test_single_worker_falls_back(self, movie_db):
         with PoolManager() as manager:
-            pool = manager.lease(make_verifier(movie_db),
-                                 backend="processes", workers=1)
-            assert isinstance(pool, ProcessVerificationPool)
+            pool = manager.lease(make_verifier(movie_db), workers=1)
+            assert type(pool) is BaseVerificationPool
+            assert not pool.degraded
             assert manager.stats["fallback_leases"] == 1
             assert manager.stats["pools"] == 0
-
-    def test_threads_backend_falls_back(self, movie_db):
-        with PoolManager() as manager:
-            pool = manager.lease(make_verifier(movie_db),
-                                 backend="threads", workers=2)
-            assert isinstance(pool, VerificationPool)
-            pool.close()
 
     def test_invalid_config_still_raises(self, movie_db):
         with PoolManager() as manager:
             with pytest.raises(ValueError, match="positive integer"):
-                manager.lease(make_verifier(movie_db),
-                              backend="processes", workers=0)
+                manager.lease(make_verifier(movie_db), workers=0)
             with pytest.raises(ValueError, match="unknown verify_backend"):
                 manager.lease(make_verifier(movie_db), backend="fibers",
                               workers=2)
@@ -142,12 +140,16 @@ class TestFallbackPolicy:
 
 
 class TestCacheSync:
+    """Worker threads verify against the *lease's* probe cache, so
+    every answer lands in (and every hit is counted by) the cache the
+    engine reads its telemetry from — across leases and cache swaps."""
+
     @needs_snapshots
     def test_probe_entries_flow_back_to_primary(self, movie_db):
         with PoolManager() as manager:
             cache = SharedProbeCache()
             lease = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
+                                  workers=2)
             lease.run(make_jobs(movie_db, count=6))
             lease.close()
             assert len(cache) > 0
@@ -155,19 +157,19 @@ class TestCacheSync:
 
     @needs_snapshots
     def test_second_task_sees_first_tasks_probes(self, movie_db):
-        """The per-task delta sync: probes answered during task 1 (in
-        workers or inline) are cross-task hits inside task 2's workers."""
+        """Probes answered during task 1 (on worker threads or inline)
+        are cross-task hits inside task 2's worker threads."""
         with PoolManager() as manager:
             cache = SharedProbeCache()
             cache.begin_task()
             first = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
+                                  workers=2)
             first.run(make_jobs(movie_db, count=6))
             first.close()
             cache.begin_task()
             cross_before = cache.cross_task_hits
             second = manager.lease(make_verifier(movie_db, cache),
-                                   backend="processes", workers=2)
+                                   workers=2)
             second.run(make_jobs(movie_db, count=6))
             second.close()
             assert cache.cross_task_hits > cross_before
@@ -175,69 +177,69 @@ class TestCacheSync:
     @needs_snapshots
     def test_switching_caches_reseeds_workers(self, movie_db):
         """A lease arriving with a different cache object (sharing
-        disabled harness-side) still verifies correctly."""
+        disabled harness-side) verifies correctly, and its worker
+        threads re-fork onto *its* cache without a respawn."""
         with PoolManager() as manager:
             first = manager.lease(make_verifier(movie_db,
                                                 SharedProbeCache()),
-                                  backend="processes", workers=2)
+                                  workers=2)
             first.run(make_jobs(movie_db))
             first.close()
             other = SharedProbeCache()
             second = manager.lease(make_verifier(movie_db, other),
-                                   backend="processes", workers=2)
+                                   workers=2)
             results = second.run(make_jobs(movie_db, count=6))
             assert all(r.ok for r in results)
             second.close()
             assert manager.stats["worker_spawns"] == 1
+            assert len(other) > 0
 
     @needs_snapshots
     def test_warm_hits_propagate_from_workers(self, movie_db):
-        """Warm-start (disk-loaded) entries seeded into workers report
-        warm hits back to the primary cache."""
+        """Warm-start (disk-loaded) entries hit on worker threads count
+        as warm hits in the primary cache."""
         cold = SharedProbeCache()
         verifier = make_verifier(movie_db, cold)
         for query, partial in make_jobs(movie_db, count=1):
             verifier.verify(query, treat_as_partial=partial, record=False)
-        probes, minmax, _ = cold.export()
+        probes, minmax = cold.export()
         warm = SharedProbeCache()
         warm.seed(probes, minmax, warm=True)
         with PoolManager() as manager:
             lease = manager.lease(make_verifier(movie_db, warm),
-                                  backend="processes", workers=2)
+                                  workers=2)
             lease.run(make_jobs(movie_db, count=6))
             lease.close()
         assert warm.warm_start_hits > 0
 
     @needs_snapshots
     def test_warm_hits_survive_cache_switch_on_warm_pool(self, movie_db):
-        """A warm-seeded cache arriving at an *already-warm* pool (the
-        second harness run in one process) takes the full-export sync
-        path — warm markers must survive it, or worker-side warm hits
-        silently downgrade to plain hits."""
+        """A warm-seeded cache arriving at an *already-warm* pool (a
+        second harness run over a long-lived manager) — the workers'
+        verifiers must follow the new cache, or worker-side warm hits
+        go to the old one."""
         cold = SharedProbeCache()
         verifier = make_verifier(movie_db, cold)
         for query, partial in make_jobs(movie_db, count=1):
             verifier.verify(query, treat_as_partial=partial, record=False)
-        probes, minmax, _ = cold.export()
+        probes, minmax = cold.export()
         with PoolManager() as manager:
             # Spawn the pool with an unrelated cache and a *different
             # TSQ* (harness run 1): column probes derive from the TSQ's
-            # example cells, so the workers must not have computed the
-            # warm entries themselves — those hits would be legitimate
-            # cross-task reuse, not warm starts.
+            # example cells, so the first lease must not have computed
+            # the warm entries itself.
             other_tsq = TableSketchQuery.build(types=["text"],
                                                rows=[["Gravity"]])
             other_verifier = Verifier(movie_db, tsq=other_tsq,
                                       probe_cache=SharedProbeCache())
-            first = manager.lease(other_verifier, backend="processes",
-                                  workers=2)
+            first = manager.lease(other_verifier, workers=2)
             first.run(make_jobs(movie_db))
             first.close()
             # Harness run 2: fresh registry cache, warm-seeded from disk.
             warm = SharedProbeCache()
             warm.seed(probes, minmax, warm=True)
             lease = manager.lease(make_verifier(movie_db, warm),
-                                  backend="processes", workers=2)
+                                  workers=2)
             assert lease.reused
             lease.run(make_jobs(movie_db, count=6))
             lease.close()
@@ -255,7 +257,7 @@ class TestDegradeAndEviction:
             with caplog.at_level(logging.WARNING,
                                  logger="repro.core.search.parallel"):
                 lease = manager.lease(make_verifier(movie_db),
-                                      backend="processes", workers=2)
+                                      workers=2)
             assert lease.degraded
             assert lease.workers == 1
             assert "degraded to inline" in caplog.text
@@ -264,37 +266,9 @@ class TestDegradeAndEviction:
             # The failure is db-level and permanent: the next lease
             # degrades immediately without a second snapshot attempt.
             again = manager.lease(make_verifier(movie_db),
-                                  backend="processes", workers=2)
+                                  workers=2)
             assert again.degraded
             assert manager.stats["worker_spawns"] == 0
-
-    @needs_snapshots
-    def test_unpicklable_state_degrades_lease_not_pool(self, movie_db):
-        from repro.core.semantics import Rule, RuleSet
-
-        with PoolManager() as manager:
-            cache = SharedProbeCache()
-            good = manager.lease(make_verifier(movie_db, cache),
-                                 backend="processes", workers=2)
-            assert not good.degraded
-            good.close()
-            unpicklable = RuleSet(rules=(
-                Rule(name="local", description="unpicklable closure",
-                     check=lambda query, schema: None),))
-            tsq = TableSketchQuery.build(types=["text"],
-                                         rows=[["Forrest Gump"]])
-            bad_verifier = Verifier(movie_db, tsq=tsq, rules=unpicklable,
-                                    probe_cache=cache)
-            bad = manager.lease(bad_verifier, backend="processes",
-                                workers=2)
-            assert bad.degraded
-            assert "not picklable" in bad.degrade_reason
-            assert all(r.ok for r in bad.run(make_jobs(movie_db)))
-            # The pool itself survived for picklable verifiers.
-            after = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
-            assert not after.degraded
-            assert after.reused
 
     @needs_snapshots
     def test_worker_failure_degrades_and_respawns_next_lease(self,
@@ -303,7 +277,7 @@ class TestDegradeAndEviction:
         with PoolManager() as manager:
             cache = SharedProbeCache()
             lease = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
+                                  workers=2)
             _, pool = next(iter(manager._pools.values()))
 
             def broken_map(fn, payloads):
@@ -318,45 +292,11 @@ class TestDegradeAndEviction:
             assert pool.executor is None  # retired
             # The next lease heals: a fresh executor spawns.
             healed = manager.lease(make_verifier(movie_db, cache),
-                                   backend="processes", workers=2)
+                                   workers=2)
             assert not healed.degraded
             assert manager.stats["worker_spawns"] == 2
             healed.run(make_jobs(movie_db))
             healed.close()
-
-    @needs_snapshots
-    def test_mid_batch_failure_folds_nothing_twice(self, movie_db):
-        """A batch that dies *after* a worker already returned an
-        outcome must fold none of the partial results: the inline rerun
-        re-verifies every job, so folding the partial batch too would
-        double-count worker telemetry and cache deltas."""
-        baseline_cache = SharedProbeCache()
-        verifier = make_verifier(movie_db, baseline_cache)
-        for query, partial in make_jobs(movie_db, count=4):
-            verifier.verify(query, treat_as_partial=partial, record=False)
-        baseline = (baseline_cache.hits, baseline_cache.misses)
-
-        with PoolManager() as manager:
-            cache = SharedProbeCache()
-            lease = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
-            _, pool = next(iter(manager._pools.values()))
-            real_map = pool.executor.map
-
-            def poisoned_map(fn, payloads):
-                def outcomes():
-                    for outcome in real_map(fn, payloads):
-                        yield outcome          # one real worker delta...
-                        raise RuntimeError("worker died mid-batch")
-                return outcomes()
-
-            pool.executor.map = poisoned_map
-            results = lease.run(make_jobs(movie_db, count=4))
-            assert all(r.ok for r in results)  # inline rerun answered
-            assert lease.degraded
-        # Exactly one accounting of the four jobs — the partial worker
-        # delta was discarded, not folded on top of the inline rerun.
-        assert (cache.hits, cache.misses) == baseline
 
     @needs_snapshots
     def test_close_after_retire_is_idempotent(self, movie_db, caplog):
@@ -365,7 +305,7 @@ class TestDegradeAndEviction:
         with PoolManager() as manager:
             cache = SharedProbeCache()
             lease = manager.lease(make_verifier(movie_db, cache),
-                                  backend="processes", workers=2)
+                                  workers=2)
             _, pool = next(iter(manager._pools.values()))
 
             def broken_map(fn, payloads):
@@ -391,7 +331,7 @@ class TestDegradeAndEviction:
         with PoolManager() as manager:
             cache = SharedProbeCache()
             survivor = manager.lease(make_verifier(movie_db, cache),
-                                     backend="processes", workers=2)
+                                     workers=2)
             _, pool = next(iter(manager._pools.values()))
             pool.retire("sibling lease hit a dead worker")
             assert pool.executor is None
@@ -401,7 +341,7 @@ class TestDegradeAndEviction:
             assert "retired by a concurrent lease" \
                 in survivor.degrade_reason
             healed = manager.lease(make_verifier(movie_db, cache),
-                                   backend="processes", workers=2)
+                                   workers=2)
             assert not healed.degraded
             assert manager.stats["worker_spawns"] == 2
             healed.close()
@@ -415,12 +355,11 @@ class TestDegradeAndEviction:
         nlq = NLQuery.from_text("movies called 'Forrest Gump'")
         tsq = TableSketchQuery.build(types=["text"],
                                      rows=[["Forrest Gump"]])
-        config = EnumeratorConfig(max_candidates=10, workers=2,
-                                  verify_backend="processes")
+        config = EnumeratorConfig(max_candidates=10, workers=2)
         with PoolManager() as manager:
             cache = SharedProbeCache()
             warmup = manager.lease(make_verifier(movie_db, cache),
-                                   backend="processes", workers=2)
+                                   workers=2)
             warmup.run(make_jobs(movie_db))
             warmup.close()
             _, pool = next(iter(manager._pools.values()))
@@ -439,17 +378,17 @@ class TestDegradeAndEviction:
             assert telemetry.workers == 1
 
     @needs_snapshots
-    def test_lru_eviction_bounds_worker_processes(self, movie_db):
+    def test_lru_eviction_bounds_worker_pools(self, movie_db):
         other = Database.from_snapshot(movie_db.schema,
                                        movie_db.snapshot())
         with PoolManager(max_pools=1) as manager:
-            manager.lease(make_verifier(movie_db), backend="processes",
-                          workers=2).close()
-            manager.lease(make_verifier(other), backend="processes",
-                          workers=2).close()
+            manager.lease(make_verifier(movie_db), workers=2).close()
+            _, first = next(iter(manager._pools.values()))
+            manager.lease(make_verifier(other), workers=2).close()
             assert manager.stats["pools"] == 1
             (held, _), = manager._pools.values()
             assert held is other  # most recent survives
+            assert first.executor is None  # the evicted pool shut down
 
 
 class TestEngineIntegration:
@@ -458,14 +397,13 @@ class TestEngineIntegration:
                                                             movie_db):
         """Full stack: Duoquest enumerations through a manager reuse one
         warm pool, report it in telemetry, and emit the exact stream a
-        cold per-enumeration run produces."""
+        cold run on the engine's private manager produces."""
         from repro.guidance.lexical import LexicalGuidanceModel
 
         nlq = NLQuery.from_text("movies called 'Forrest Gump'")
         tsq = TableSketchQuery.build(types=["text"],
                                      rows=[["Forrest Gump"]])
-        config = EnumeratorConfig(max_candidates=10, workers=2,
-                                  verify_backend="processes")
+        config = EnumeratorConfig(max_candidates=10, workers=2)
 
         def run(pool_manager, cache):
             enumerator = Enumerator(

@@ -57,15 +57,6 @@ class TestBoundHolds:
         assert cache.peek("probe-009") is True
         assert cache.peek("probe-000") is None
 
-    def test_merge_remote_respects_the_bound(self):
-        """Worker deltas re-deliver entries the bound may since have
-        evicted; the bound, not the delta, wins."""
-        cache = SharedProbeCache(max_entries=4)
-        cache.merge_remote(0, 0, 0, 0,
-                           [(f"worker-{i}", True) for i in range(9)], [])
-        assert len(cache) == 4
-        assert cache.evictions == 5
-
     def test_invalid_bound_is_rejected(self):
         with pytest.raises(ValueError):
             SharedProbeCache(max_entries=0)
@@ -97,7 +88,7 @@ class TestLruOrder:
         fill(cache, 4)
         cache.probe_keyed(StubDb(), "probe-000",
                           "probe-000")  # hit: now most recent
-        probes, _, _ = cache.export()
+        probes, _ = cache.export()
         assert list(probes) == ["probe-001", "probe-002",
                                 "probe-003", "probe-000"]
 
@@ -105,7 +96,7 @@ class TestLruOrder:
         cache = SharedProbeCache(max_entries=4)
         fill(cache, 4)
         cache.probe_keyed(StubDb(), "probe-000", "probe-000")
-        probes, minmax, _ = cache.export()
+        probes, minmax = cache.export()
         reborn = SharedProbeCache(max_entries=2)
         reborn.seed(probes, minmax, warm=True)
         # the two most recently *used* survive the tighter bound

@@ -19,7 +19,6 @@ import pytest
 from repro.core.search.planner import (
     MAX_FUSED_ARMS,
     PROBE_PLANNER_MODES,
-    PlannerCounters,
     ProbePlanner,
     validate_probe_planner,
 )
@@ -129,17 +128,6 @@ class TestPlanCache:
                     "COLLATE NOCASE LIMIT 1"):
             assert planner.probe(db, cache, sql) == db.exists(sql)
 
-    def test_counter_deltas_fold_remotely(self):
-        planner = ProbePlanner("plan")
-        planner.plan_for(probe_sql(1994))
-        before = planner.counters.copy()
-        planner.merge_remote(
-            PlannerCounters(2, 7, 1, 5, 0, 3, 1).as_tuple())
-        delta = planner.counters.delta_since(before)
-        assert (delta.compiles, delta.plan_hits, delta.batch_stmts,
-                delta.batched_probes, delta.batch_fallbacks,
-                delta.fused_groups, delta.fuse_fallbacks) == \
-            (2, 7, 1, 5, 0, 3, 1)
 
 
 def make_verifier(db, mode="batch", rows=(("Forrest Gump",),)):

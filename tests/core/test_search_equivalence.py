@@ -68,7 +68,7 @@ class TestBestFirstMatchesSeed:
     """`--engine best-first` is bit-for-bit identical to the seed."""
 
     @pytest.mark.parametrize("workers,backend", [
-        (1, "threads"), (4, "threads"), (1, "inline"), (4, "processes"),
+        (1, "threads"), (4, "threads"), (1, "inline"),
     ])
     def test_candidate_stream_matches_golden(self, golden, tasks, workers,
                                              backend):
@@ -109,7 +109,7 @@ class TestBestFirstMatchesSeed:
         prunes = sum(telemetry.prunes_by_stage.values())
         assert prunes == telemetry.pruned_partial + telemetry.pruned_complete
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", ["threads"])
     def test_verifier_stats_match_serial(self, tasks, backend):
         """Speculative verification must not leak into verifier stats:
         only consumed outcomes are recorded, so stats match workers=1."""
@@ -119,18 +119,17 @@ class TestBestFirstMatchesSeed:
                                     verify_backend=backend)
         assert parallel.verifier.stats == serial.verifier.stats
 
-    def test_process_backend_did_not_degrade(self, tasks):
+    def test_threads_backend_did_not_degrade(self, tasks):
         """The equivalence runs above only prove something if the
-        process pool actually ran (no silent inline fallback)."""
+        worker threads actually ran (no silent inline fallback)."""
         from repro.db.database import Database
 
         if not Database.supports_snapshots():
             pytest.skip("sqlite build cannot snapshot databases")
         name = next(iter(tasks))
-        _, enumerator, _ = run_engine(tasks[name], workers=4,
-                                      verify_backend="processes")
+        _, enumerator, _ = run_engine(tasks[name], workers=4)
         telemetry = enumerator.telemetry
-        assert telemetry.verify_backend == "processes"
+        assert telemetry.verify_backend == "threads"
         assert not telemetry.snapshot_degraded
         assert telemetry.workers == 4
 
@@ -147,41 +146,16 @@ class TestPersistentPoolEquivalence:
         if not Database.supports_snapshots():
             pytest.skip("sqlite build cannot snapshot databases")
 
-    def test_persistent_pool_matches_golden_across_tasks(
+    def test_warm_thread_pool_matches_golden_across_tasks(
             self, golden, tasks, snapshots_or_skip):
         """Every fixture task through ONE shared PoolManager (per-db
-        warm pools, shared probe caches) reproduces the golden stream,
-        with zero extra worker spawns after each database's first."""
+        warm thread pools, shared probe caches) reproduces the golden
+        stream, spawning each database's executor once and reusing it
+        for every later lease."""
         from repro.core.search.parallel import PoolManager
         from repro.core.verifier import SharedProbeCache
 
         with PoolManager() as manager:
-            caches = {}
-            for name, expected in golden["tasks"].items():
-                db = tasks[name][0]
-                cache = caches.setdefault(id(db), SharedProbeCache())
-                stream, enumerator, _ = run_engine(
-                    tasks[name], workers=4, verify_backend="processes",
-                    pool_manager=manager, probe_cache=cache)
-                assert stream == expected["candidates"], \
-                    f"{name} diverged under the persistent pool"
-                assert enumerator.expansions == \
-                    expected["total_expansions"]
-                assert not enumerator.telemetry.snapshot_degraded
-            stats = manager.stats
-            assert stats["worker_spawns"] == stats["pools"] == len(caches)
-            assert stats["persistent_leases"] == len(golden["tasks"])
-
-    def test_warm_thread_pool_matches_golden_across_tasks(
-            self, golden, tasks, snapshots_or_skip):
-        """The warm ``threads`` variant (``warm_threads=True``) is
-        equally invisible: every task through one shared manager
-        reproduces the golden stream, spawning each database's executor
-        once and reusing it for every later lease."""
-        from repro.core.search.parallel import PoolManager
-        from repro.core.verifier import SharedProbeCache
-
-        with PoolManager(warm_threads=True) as manager:
             caches = {}
             reused_rounds = 0
             for name, expected in golden["tasks"].items():
@@ -201,6 +175,44 @@ class TestPersistentPoolEquivalence:
             assert stats["persistent_leases"] == len(golden["tasks"])
             # every lease after each database's first found warm threads
             assert reused_rounds == len(golden["tasks"]) - len(caches)
+
+    def test_persistent_pool_matches_golden_across_tasks(
+            self, golden, tasks, snapshots_or_skip):
+        """Evicting a persistent pool is invisible too: with room for
+        one pool and the databases interleaved, every switch evicts the
+        held pool and spawns a fresh one, and every task still
+        reproduces the golden stream."""
+        from repro.core.search.parallel import PoolManager
+        from repro.core.verifier import SharedProbeCache
+
+        rank, seen = {}, {}
+        for name in golden["tasks"]:
+            db_key = id(tasks[name][0])
+            rank[name] = seen[db_key] = seen.get(db_key, -1) + 1
+        names = sorted(golden["tasks"], key=rank.get)  # round-robin
+        switches = sum(tasks[a][0] is not tasks[b][0]
+                       for a, b in zip(names, names[1:]))
+        assert switches > len(seen) - 1, "order must revisit a database"
+
+        with PoolManager(max_pools=1) as manager:
+            caches, previous = {}, None
+            for name in names:
+                expected = golden["tasks"][name]
+                db = tasks[name][0]
+                cache = caches.setdefault(id(db), SharedProbeCache())
+                stream, enumerator, _ = run_engine(
+                    tasks[name], workers=2, verify_backend="threads",
+                    pool_manager=manager, probe_cache=cache)
+                assert stream == expected["candidates"], \
+                    f"{name} diverged after a pool eviction"
+                assert enumerator.expansions == \
+                    expected["total_expansions"]
+                telemetry = enumerator.telemetry
+                assert not telemetry.snapshot_degraded
+                # warm only if the previous task left this db's pool held
+                assert telemetry.pool_reused == (db is previous)
+                previous = db
+            assert manager.stats["pools"] == 1
 
     def test_warm_cache_matches_golden_with_warm_hits(self, golden, tasks,
                                                       tmp_path):
@@ -227,9 +239,9 @@ class TestPersistentPoolEquivalence:
 
     def test_warm_cache_with_persistent_pool_matches_golden(
             self, golden, tasks, tmp_path, snapshots_or_skip):
-        """The full PR-3 stack at once — disk warm start + warm leased
-        workers — still reproduces the golden stream, and the warm hits
-        flow back from the worker processes."""
+        """The full stack at once — disk warm start + warm leased
+        worker threads — still reproduces the golden stream, and the
+        worker threads take warm hits on the shared cache."""
         from repro.core.search.cachestore import PersistentProbeCache
         from repro.core.search.parallel import PoolManager
 
@@ -244,8 +256,8 @@ class TestPersistentPoolEquivalence:
         assert loaded > 0
         with PoolManager() as manager:
             stream, enumerator, _ = run_engine(
-                tasks[name], workers=4, verify_backend="processes",
-                pool_manager=manager, probe_cache=warm_cache)
+                tasks[name], workers=4, pool_manager=manager,
+                probe_cache=warm_cache)
         assert stream == golden["tasks"][name]["candidates"]
         assert enumerator.telemetry.warm_start_probe_hits > 0
         assert not enumerator.telemetry.snapshot_degraded
@@ -320,7 +332,7 @@ class TestGuidanceBatchingEquivalence:
     distribution is identical to a recomputed one)."""
 
     @pytest.mark.parametrize("workers,backend", [
-        (1, "threads"), (4, "threads"), (1, "inline"), (4, "processes"),
+        (1, "threads"), (4, "threads"), (1, "inline"),
     ])
     def test_batched_stream_matches_golden(self, golden, tasks, workers,
                                            backend):
@@ -392,7 +404,7 @@ class TestProbePlannerEquivalence:
 
     @pytest.mark.parametrize("planner", ["plan", "batch", "fuse"])
     @pytest.mark.parametrize("workers,backend", [
-        (1, "inline"), (4, "threads"), (4, "processes"),
+        (1, "inline"), (4, "threads"),
     ])
     def test_planner_stream_matches_golden(self, golden, tasks, planner,
                                            workers, backend):
@@ -491,7 +503,7 @@ class TestFuseEquivalence:
     prefetch change statement counts and telemetry only — the candidate
     stream stays bit-for-bit golden across backends and warm starts.
     The stream matrix itself runs in TestProbePlannerEquivalence
-    (``planner="fuse"`` across inline/threads/processes); these tests
+    (``planner="fuse"`` across inline/threads); these tests
     pin what the matrix cannot: the fused groups actually execute, the
     new statement kind shows up, and the mode composes with the rest of
     the stack."""
@@ -562,9 +574,9 @@ class TestFuseEquivalence:
 
     def test_fuse_with_persistent_pool_matches_golden(self, golden,
                                                       tasks):
-        """fuse × warm leased process pools: worker planners rebuild in
-        fuse mode, their 7-slot counter deltas fold back over the batch
-        protocol, and every task's stream stays golden."""
+        """fuse × warm leased thread pools: worker threads share the
+        primary's fuse-mode planner, and every task's stream stays
+        golden."""
         from repro.core.search.parallel import PoolManager
         from repro.core.verifier import SharedProbeCache
         from repro.db.database import Database
@@ -578,9 +590,8 @@ class TestFuseEquivalence:
                 db = tasks[name][0]
                 cache = caches.setdefault(id(db), SharedProbeCache())
                 stream, enumerator, _ = run_engine(
-                    tasks[name], workers=4, verify_backend="processes",
-                    pool_manager=manager, probe_cache=cache,
-                    probe_planner="fuse")
+                    tasks[name], workers=4, pool_manager=manager,
+                    probe_cache=cache, probe_planner="fuse")
                 assert stream == expected["candidates"], \
                     f"{name} diverged under fuse + persistent pool"
                 assert not enumerator.telemetry.snapshot_degraded
@@ -608,7 +619,6 @@ class TestFuseEquivalence:
         name = "spider:library_dev_0-t2"
         _, plain, _ = run_engine(tasks[name], workers=1)
         _, fused, _ = run_engine(tasks[name], workers=4,
-                                 verify_backend="processes",
                                  probe_planner="fuse")
         assert fused.verifier.stats == plain.verifier.stats
 
@@ -625,7 +635,6 @@ class TestCostOrderEquivalence:
     @pytest.mark.parametrize("workers,backend,overrides", [
         (1, "threads", {}),
         (4, "threads", {}),
-        (4, "processes", {}),
         (4, "threads", {"probe_planner": "batch"}),
     ])
     def test_off_stream_matches_golden(self, golden, tasks, workers,
@@ -664,7 +673,7 @@ class TestCostOrderEquivalence:
         assert enumerator.telemetry.warm_start_probe_hits > 0
 
     @pytest.mark.parametrize("workers,backend", [
-        (1, "threads"), (4, "threads"), (4, "processes"),
+        (1, "threads"), (4, "threads"),
     ])
     def test_order_preserves_answer_set(self, golden, tasks, workers,
                                         backend):
@@ -806,7 +815,7 @@ class TestBoundedCacheEquivalence:
     re-probes (visible in hit/miss counters), never a candidate."""
 
     @pytest.mark.parametrize("workers,backend", [
-        (1, "threads"), (4, "threads"), (4, "processes"),
+        (1, "threads"), (4, "threads"),
     ])
     def test_bounded_stream_matches_golden(self, golden, tasks, workers,
                                            backend):

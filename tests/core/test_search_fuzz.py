@@ -48,8 +48,7 @@ CORPUS_SEEDS = (11, 23, 37) + ((41, 53, 67, 79, 97) if _DEEP else ())
 ENGINES = ("best-first", "beam")
 #: (workers, verify_backend) variant points; the inline seed execution
 #: mode is the baseline every point is compared against.
-BACKENDS = ((1, "threads"), (2, "threads"), (4, "threads"),
-            (2, "processes"))
+BACKENDS = ((1, "threads"), (2, "threads"), (4, "threads"))
 PLANNERS = ("off", "plan", "batch", "fuse")
 
 #: Keep every run fast and timeout-free so streams are deterministic

@@ -1,12 +1,12 @@
-"""Warm thread pools: lease lifecycle, stat folding, degrade paths.
+"""Warm worker pools: lease lifecycle, stat folding, degrade paths.
 
-The contract under test (see ``repro.core.search.parallel``):
-``PoolManager(warm_threads=True)`` serves multi-worker ``threads``
-leases from a per-database :class:`PersistentThreadPool` whose executor
-(and per-thread database forks) survive lease close — later leases
-attach warm (``reused``). Failures degrade visibly on the lease, never
-raise into the engine, and fork statement counters fold back into the
-primary database exactly once.
+The contract under test (see ``repro.core.search.parallel``): a
+per-database :class:`WorkerPool` serves multi-worker leases whose
+executor (and per-thread database forks) survive lease close — later
+leases attach warm (``reused``). Failures degrade visibly on the lease,
+never raise into the engine, and fork statement counters fold back into
+the primary database exactly once. The rest of the manager's policy
+over these pools is pinned in ``test_pool_manager.py``.
 """
 
 from __future__ import annotations
@@ -14,9 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.core.search.parallel import (
-    PersistentThreadPool,
-    PersistentThreadPoolLease,
+    BaseVerificationPool,
+    PoolLease,
     PoolManager,
+    WorkerPool,
 )
 from repro.core.tsq import TableSketchQuery
 from repro.core.verifier import Verifier
@@ -54,7 +55,7 @@ def title_query() -> Query:
 
 class TestLeaseLifecycle:
     def test_second_lease_attaches_warm(self, db, verifier):
-        pool = PersistentThreadPool(db, workers=2)
+        pool = WorkerPool(db, workers=2)
         try:
             first = pool.lease(verifier)
             assert first.reused is False and not first.degraded
@@ -67,7 +68,7 @@ class TestLeaseLifecycle:
             pool.close()
 
     def test_lease_runs_jobs_and_folds_stats(self, db, verifier):
-        pool = PersistentThreadPool(db, workers=2)
+        pool = WorkerPool(db, workers=2)
         try:
             lease = pool.lease(verifier)
             jobs = [(title_query(), False)] * 4
@@ -76,14 +77,14 @@ class TestLeaseLifecycle:
             before = db.stats.statements
             lease.close()
             # fork statement counters folded back into the primary
-            assert db.stats.statements >= before
+            assert db.stats.statements > before
             assert lease._closed
             lease.close()  # idempotent
         finally:
             pool.close()
 
     def test_executor_survives_lease_close(self, db, verifier):
-        pool = PersistentThreadPool(db, workers=2)
+        pool = WorkerPool(db, workers=2)
         try:
             pool.lease(verifier).close()
             assert pool.executor is not None
@@ -98,7 +99,7 @@ class TestDegradePaths:
             self, db, verifier, monkeypatch):
         monkeypatch.setattr(db, "snapshot", lambda: (_ for _ in ()).throw(
             ExecutionError("no snapshots here")))
-        pool = PersistentThreadPool(db, workers=2)
+        pool = WorkerPool(db, workers=2)
         try:
             first = pool.lease(verifier)
             assert first.degraded
@@ -114,7 +115,7 @@ class TestDegradePaths:
             pool.close()
 
     def test_retired_pool_degrades_inflight_lease(self, db, verifier):
-        pool = PersistentThreadPool(db, workers=2)
+        pool = WorkerPool(db, workers=2)
         try:
             lease = pool.lease(verifier)
             pool.retire("simulated worker failure")
@@ -127,47 +128,31 @@ class TestDegradePaths:
 
 
 class TestManagerPolicy:
-    def test_threads_fall_back_without_opt_in(self, db, verifier):
+    def test_threads_backend_serves_persistent_leases(self, verifier):
+        """No opt-in: every multi-worker ``threads`` lease comes from
+        the database's warm pool. A second lease of the same width
+        attaches warm; a new width replaces the pool."""
         with PoolManager() as manager:
-            lease = manager.lease(verifier, backend="threads", workers=2)
-            assert not isinstance(lease, PersistentThreadPoolLease)
-            assert manager.fallback_leases == 1
-            assert manager.stats["pools"] == 0
-            lease.close()
-
-    def test_warm_threads_opt_in_serves_persistent_leases(self, db,
-                                                          verifier):
-        with PoolManager(warm_threads=True) as manager:
             first = manager.lease(verifier, backend="threads", workers=2)
-            assert isinstance(first, PersistentThreadPoolLease)
+            assert type(first) is PoolLease
             first.close()
             second = manager.lease(verifier, backend="threads", workers=2)
             assert second.reused is True
             second.close()
-            stats = manager.stats
-            assert stats == {"pools": 1, "worker_spawns": 1,
-                             "persistent_leases": 2, "fallback_leases": 0,
-                             "pool_retires": 0, "breaker_trips": 0}
+            assert manager.stats == {"pools": 1, "worker_spawns": 1,
+                                     "persistent_leases": 2,
+                                     "fallback_leases": 0,
+                                     "pool_retires": 0, "breaker_trips": 0}
+            (_, narrow), = manager._pools.values()
+            wider = manager.lease(verifier, backend="threads", workers=3)
+            assert wider.reused is False and wider.workers == 3
+            wider.close()
+            assert narrow.executor is None  # the replaced pool shut down
+            assert manager.stats["pools"] == 1
 
-    def test_single_worker_still_falls_back(self, db, verifier):
-        with PoolManager(warm_threads=True) as manager:
-            lease = manager.lease(verifier, backend="threads", workers=1)
-            assert not isinstance(lease, PersistentThreadPoolLease)
+    def test_single_worker_still_falls_back(self, verifier):
+        with PoolManager() as manager:
+            lease = manager.lease(verifier, backend="inline", workers=1)
+            assert type(lease) is BaseVerificationPool
+            assert manager.stats["pools"] == 0
             lease.close()
-
-    def test_thread_and_process_pools_coexist_per_database(self, db,
-                                                           verifier):
-        """The registry is keyed by (database, backend): warming the
-        threads pool must not evict the process pool."""
-        with PoolManager(warm_threads=True) as manager:
-            threaded = manager.lease(verifier, backend="threads",
-                                     workers=2)
-            assert isinstance(threaded, PersistentThreadPoolLease)
-            threaded.close()
-            processed = manager.lease(verifier, backend="processes",
-                                      workers=2)
-            processed.close()
-            assert manager.stats["pools"] == 2
-            again = manager.lease(verifier, backend="threads", workers=2)
-            assert again.reused is True
-            again.close()

@@ -101,10 +101,25 @@ class TestInterruptible:
             with db.interruptible(10):
                 db.execute(slow)
 
+    def test_budget_counts_work_not_wall_time(self, movie_db,
+                                              monkeypatch):
+        """A contended CPU must not change a verdict: with every clock
+        read jumping a second, a statement costing a few dozen progress
+        ticks still completes under a budget far above that cost."""
+        import itertools
+        import time
+
+        seconds = itertools.count(start=1000)
+        monkeypatch.setattr(time, "monotonic", lambda: next(seconds))
+        medium = "SELECT COUNT(*) FROM movie a, movie b, movie c"
+        with movie_db.interruptible(250):
+            rows = movie_db.execute(medium)
+        assert rows[0][0] == 40 ** 3
+
 
 class TestSnapshotRoundTrip:
-    """Snapshot/rehydrate round-trips, as used by both verification pool
-    backends: data, secondary indexes, and stats accounting."""
+    """Snapshot/rehydrate round-trips, as used by the worker pool's
+    per-thread forks: data, secondary indexes, and stats accounting."""
 
     pytestmark = pytest.mark.skipif(
         not Database.supports_snapshots(),

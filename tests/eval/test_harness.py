@@ -98,27 +98,51 @@ class TestAblations:
 
 
 class TestPersistentPools:
-    """The harness leases verification workers from one process-wide
-    PoolManager, so pools spawn once per database, not once per task."""
+    """Each harness run owns a PoolManager (through its ServiceContext):
+    worker threads spawn once per database per run, not once per task,
+    and are gone when the run returns."""
 
-    def test_mid_sweep_spawns_are_zero(self, tiny_corpus, tmp_path):
-        import pytest as _pytest
-
+    @pytest.fixture
+    def contexts(self, monkeypatch):
+        """Every ServiceContext a run builds, each recording its pool
+        stats as they stood just before close."""
         from repro.db.database import Database
-        from repro.eval import shared_pool_manager
+        from repro.eval import harness
+        from repro.serve.context import ServiceContext
 
         if not Database.supports_snapshots():
-            _pytest.skip("sqlite build cannot snapshot databases")
-        manager = shared_pool_manager()
-        before = manager.stats
+            pytest.skip("sqlite build cannot snapshot databases")
+        built = []
+
+        class Recording(ServiceContext):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+            def close(self):
+                if not self.closed:
+                    self.final_stats = dict(self.pool_manager.stats)
+                super().close()
+
+        monkeypatch.setattr(harness, "ServiceContext", Recording)
+        return built
+
+    @staticmethod
+    def live_verify_threads():
+        import threading
+
+        return {thread for thread in threading.enumerate()
+                if thread.name.startswith("repro-verify")}
+
+    def test_mid_sweep_spawns_are_zero(self, tiny_corpus, tmp_path,
+                                       contexts):
         config = SimulationConfig(timeout=4.0, workers=2,
-                                  verify_backend="processes",
                                   cache_dir=str(tmp_path))
         records = run_simulation(tiny_corpus, systems=("Duoquest",),
                                  config=config)
-        after = manager.stats
-        spawns = after["worker_spawns"] - before["worker_spawns"]
-        leases = after["persistent_leases"] - before["persistent_leases"]
+        (ctx,) = contexts
+        spawns = ctx.final_stats["worker_spawns"]
+        leases = ctx.final_stats["persistent_leases"]
         # One spawn per database; every task after each database's first
         # rides a warm pool ("zero new pool workers mid-sweep").
         assert spawns == len(tiny_corpus.databases)
@@ -127,19 +151,19 @@ class TestPersistentPools:
                   if r.telemetry]
         assert sum(reused) == leases - spawns
 
-    def test_persistent_pool_is_opt_out(self, tiny_corpus):
-        from repro.eval import shared_pool_manager
-
-        manager = shared_pool_manager()
-        before = manager.stats["persistent_leases"] \
-            + manager.stats["fallback_leases"]
-        run_simulation(tiny_corpus, systems=("Duoquest",),
-                       config=SimulationConfig(timeout=4.0, workers=2,
-                                               verify_backend="processes",
-                                               persistent_pool=False))
-        after = manager.stats["persistent_leases"] \
-            + manager.stats["fallback_leases"]
-        assert after == before  # the manager never saw these runs
+    def test_run_leaves_no_live_pool(self, tiny_corpus, contexts):
+        config = SimulationConfig(timeout=4.0, workers=2)
+        before = self.live_verify_threads()
+        run_simulation(tiny_corpus, systems=("Duoquest",), config=config)
+        assert self.live_verify_threads() <= before
+        run_simulation(tiny_corpus, systems=("Duoquest",), config=config)
+        assert self.live_verify_threads() <= before
+        first, second = contexts
+        assert first.pool_manager.closed and second.pool_manager.closed
+        assert first.pool_manager is not second.pool_manager
+        # Nothing carried over: the second run spawned its own pools.
+        assert second.final_stats["worker_spawns"] \
+            == len(tiny_corpus.databases)
 
 
 class TestCrossTaskProbeCache:

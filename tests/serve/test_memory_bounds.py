@@ -265,33 +265,3 @@ class TestRegistryLifecycle:
         assert registry.close() == 1  # one store file written
         assert not registry._caches
         assert registry.close() == 0  # idempotent
-
-
-class TestSharedPoolManagerAtexit:
-    def test_recreations_register_exactly_one_atexit_hook(
-            self, monkeypatch):
-        """Regression: every recreation of the shared pool manager used
-        to stack another atexit callback (a closure keeping the dead
-        manager alive for the life of the process)."""
-        import repro.serve.context as context_module
-
-        registered = []
-        monkeypatch.setattr(context_module.atexit, "register",
-                            lambda fn, *a, **k: registered.append(fn))
-        monkeypatch.setattr(context_module, "_SHARED_POOL_MANAGER", None)
-        monkeypatch.setattr(context_module, "_ATEXIT_REGISTERED", False)
-
-        managers = []
-        for _ in range(5):
-            manager = context_module.shared_pool_manager()
-            managers.append(manager)
-            manager.close()  # force a recreation on the next call
-
-        assert len(registered) == 1
-        assert registered[0] is context_module._close_shared_pool_manager
-        assert len(set(map(id, managers))) == 5  # really recreated
-
-        # the one hook closes whatever manager is current at exit
-        last = context_module.shared_pool_manager()
-        context_module._close_shared_pool_manager()
-        assert last.closed

@@ -24,13 +24,14 @@ class TestParser:
 
     def test_verify_backend_choices(self):
         args = build_parser().parse_args(
-            ["demo", "list authors", "--verify-backend", "processes",
+            ["demo", "list authors", "--verify-backend", "threads",
              "--workers", "2"])
-        assert args.verify_backend == "processes"
+        assert args.verify_backend == "threads"
         assert args.workers == 2
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["demo", "list authors", "--verify-backend", "fibers"])
+        for backend in ("fibers", "processes"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(
+                    ["demo", "list authors", "--verify-backend", backend])
 
     @pytest.mark.parametrize("bad", ["0", "-3"])
     def test_workers_below_one_rejected(self, bad, capsys):
@@ -88,13 +89,24 @@ class TestCommands:
         assert "SELECT" in out
 
     def test_demo_processes_backend(self, capsys):
+        """The process backend is gone: asking for it is a usage error
+        that names the backends that remain."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", 'List authors in domain "Databases".',
+                  "--verify-backend", "processes", "--workers", "2"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'processes'" in err
+        assert "'threads'" in err
+
+    def test_demo_threads_backend(self, capsys):
         code = main(["demo", 'List authors in domain "Databases".',
                      "--top", "3", "--timeout", "5",
-                     "--verify-backend", "processes", "--workers", "2"])
+                     "--verify-backend", "threads", "--workers", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "SELECT" in out
-        assert "processes" in out  # telemetry line names the backend
+        assert "x2 threads]" in out  # telemetry line names the backend
 
     def test_demo_inline_with_workers_errors(self, capsys):
         code = main(["demo", "list authors", "--verify-backend", "inline",

@@ -21,8 +21,10 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 #: Long flags the README may mention that are not defined by our parser
 #: (argparse adds --help implicitly; --port/--database belong to
-#: examples/synthesis_service.py, quoted in the Serving section).
-ALLOWED_FOREIGN_FLAGS = {"--help", "--port", "--database"}
+#: examples/synthesis_service.py, quoted in the Serving section;
+#: --workload/--seconds/--trace to perfbench/run.py, the benchmark).
+ALLOWED_FOREIGN_FLAGS = {"--help", "--port", "--database", "--workload",
+                         "--seconds", "--trace"}
 
 
 def cli_surface():
