@@ -10,11 +10,14 @@ end-to-end demonstration of GPQE.
 
 from __future__ import annotations
 
+import functools
+import threading
+from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..nlq.linking import LinkScores, link_schema
 from ..nlq.literals import NLQuery
-from ..nlq.tokenize import contains_phrase, stems, tokenize
+from ..nlq.tokenize import contains_tokens, tokenize
 from ..sqlir.ast import AggOp, ColumnRef, CompOp, Direction, LogicOp
 from ..sqlir.types import ColumnType
 from .base import (
@@ -63,15 +66,47 @@ _GROUP_CUES = ("each", "every", "per", "for each", "group", "grouped",
 _OR_CUES = ("or", "either")
 
 
+@functools.lru_cache(maxsize=None)
+def _phrase_tokens(phrase: str) -> Tuple[str, ...]:
+    # Only this module's constant cue phrases come here, so each is
+    # tokenised once and the cache stays that small.
+    return tuple(tokenize(phrase))
+
+
+class _NLQState:
+    """What the model keeps per NLQ text: its tokens, and its links to
+    each schema it was asked about."""
+
+    __slots__ = ("tokens", "links")
+
+    def __init__(self, text: str):
+        self.tokens = tuple(tokenize(text))
+        self.links: Dict[str, LinkScores] = {}
+
+
 class LexicalGuidanceModel(GuidanceModel):
-    """Guidance from schema linking and cue words only."""
+    """Guidance from schema linking and cue words only.
+
+    The model tokenises each NLQ text once and links it once per schema;
+    every cue test scans those tokens for the cue phrase's tokens. Both
+    live in one LRU over NLQ texts bounded at :attr:`MAX_NLQS`, so a
+    daemon that keeps one model for its lifetime holds the state of its
+    most recent NLQs only; an evicted text is read again when it returns.
+    """
 
     name = "lexical"
+
+    #: NLQ texts whose tokens and links are kept (least recently used
+    #: texts beyond this are dropped)
+    MAX_NLQS = 1024
 
     #: Softmax temperature controlling how peaked column choices are.
     def __init__(self, temperature: float = 0.18):
         self._temperature = temperature
-        self._link_cache: Dict[Tuple[str, str], LinkScores] = {}
+        #: NLQ text -> its state, least recently used first
+        self._nlqs: "OrderedDict[str, _NLQState]" = OrderedDict()
+        #: one model serves concurrent daemon sessions
+        self._lock = threading.Lock()
 
     def cache_fields(self):
         """The lexical model's declared cache-key projection.
@@ -90,37 +125,56 @@ class LexicalGuidanceModel(GuidanceModel):
         return ("schema", "nlq", "partial")
 
     # ------------------------------------------------------------------
+    def _state(self, nlq: NLQuery) -> _NLQState:
+        """The state of ``nlq``'s text; call with ``_lock`` held."""
+        nlqs = self._nlqs
+        state = nlqs.get(nlq.text)
+        if state is None:
+            state = nlqs[nlq.text] = _NLQState(nlq.text)
+            if len(nlqs) > self.MAX_NLQS:
+                nlqs.popitem(last=False)
+        else:
+            nlqs.move_to_end(nlq.text)
+        return state
+
+    def _tokens(self, nlq: NLQuery) -> Tuple[str, ...]:
+        with self._lock:
+            return self._state(nlq).tokens
+
     def _links(self, ctx: GuidanceContext) -> LinkScores:
-        key = (ctx.nlq.text, ctx.schema.name)
-        if key not in self._link_cache:
-            self._link_cache[key] = link_schema(ctx.nlq, ctx.schema)
-        return self._link_cache[key]
+        with self._lock:
+            links = self._state(ctx.nlq).links
+            if ctx.schema.name not in links:
+                links[ctx.schema.name] = link_schema(ctx.nlq, ctx.schema)
+            return links[ctx.schema.name]
 
     @staticmethod
-    def _has_any(nlq: NLQuery, phrases: Sequence[str]) -> bool:
-        return any(contains_phrase(nlq.text, phrase) for phrase in phrases)
+    def _has_any(tokens: Tuple[str, ...], phrases: Sequence[str]) -> bool:
+        return any(contains_tokens(tokens, _phrase_tokens(phrase))
+                   for phrase in phrases)
 
     # -- KW --------------------------------------------------------------
     def clause_presence(self, ctx: GuidanceContext,
                         clause: str) -> Distribution[bool]:
         nlq = ctx.nlq
+        tokens = self._tokens(nlq)
         if clause == SLOT_WHERE:
             evidence = 0.12
             if nlq.literals:
                 evidence = 0.85
-            if self._has_any(nlq, _GT_CUES + _LT_CUES + _BETWEEN_CUES
+            if self._has_any(tokens, _GT_CUES + _LT_CUES + _BETWEEN_CUES
                              + _GE_CUES + _LE_CUES + _LIKE_CUES):
                 evidence = max(evidence, 0.8)
             return Distribution.binary(evidence)
         if clause == SLOT_GROUP_BY:
-            evidence = 0.55 if self._has_any(nlq, _GROUP_CUES) else 0.12
+            evidence = 0.55 if self._has_any(tokens, _GROUP_CUES) else 0.12
             # "number of X for each Y" is the strongest grouping signal.
-            if self._has_any(nlq, ("for each", "per")) and \
-                    self._has_any(nlq, _AGG_CUES[AggOp.COUNT]):
+            if self._has_any(tokens, ("for each", "per")) and \
+                    self._has_any(tokens, _AGG_CUES[AggOp.COUNT]):
                 evidence = 0.85
             return Distribution.binary(evidence)
         if clause == SLOT_ORDER_BY:
-            evidence = 0.8 if self._has_any(nlq, _ORDER_CUES) else 0.08
+            evidence = 0.8 if self._has_any(tokens, _ORDER_CUES) else 0.08
             return Distribution.binary(evidence)
         return Distribution.binary(0.05)
 
@@ -131,7 +185,7 @@ class LexicalGuidanceModel(GuidanceModel):
         strong = sum(1 for _, score in links.columns.items() if score >= 0.5)
         if slot == SLOT_SELECT:
             # "and" between noun phrases hints at multiple projections.
-            conjunctions = tokenize(ctx.nlq.text).count("and")
+            conjunctions = self._tokens(ctx.nlq).count("and")
             guess = max(1, min(max_n, min(strong, conjunctions + 1)))
         elif slot == SLOT_WHERE:
             guess = max(1, min(max_n, len(ctx.nlq.literals) or 1))
@@ -159,9 +213,10 @@ class LexicalGuidanceModel(GuidanceModel):
     # -- AGG ----------------------------------------------------------------
     def aggregate(self, ctx: GuidanceContext, slot: str, column: ColumnRef,
                   candidates: Sequence[AggOp]) -> Distribution[AggOp]:
+        tokens = self._tokens(ctx.nlq)
         cued: Optional[AggOp] = None
         for agg, cues in _AGG_CUES.items():
-            if self._has_any(ctx.nlq, cues):
+            if self._has_any(tokens, cues):
                 cued = agg
                 break
         col_type = (ColumnType.NUMBER if column.is_star
@@ -185,12 +240,13 @@ class LexicalGuidanceModel(GuidanceModel):
     # -- OP -------------------------------------------------------------------
     def comparison(self, ctx: GuidanceContext, slot: str, column: ColumnRef,
                    candidates: Sequence[CompOp]) -> Distribution[CompOp]:
+        tokens = self._tokens(ctx.nlq)
         cued: Optional[CompOp] = None
         for op, cues in ((CompOp.GE, _GE_CUES), (CompOp.LE, _LE_CUES),
                          (CompOp.GT, _GT_CUES), (CompOp.LT, _LT_CUES),
                          (CompOp.BETWEEN, _BETWEEN_CUES),
                          (CompOp.LIKE, _LIKE_CUES), (CompOp.NE, _NE_CUES)):
-            if self._has_any(ctx.nlq, cues):
+            if self._has_any(tokens, cues):
                 cued = op
                 break
         probs = []
@@ -206,9 +262,8 @@ class LexicalGuidanceModel(GuidanceModel):
 
     # -- AND/OR -----------------------------------------------------------------
     def logic(self, ctx: GuidanceContext) -> Distribution[LogicOp]:
-        tokens = tokenize(ctx.nlq.text)
-        or_evidence = 0.65 if any(
-            contains_phrase(ctx.nlq.text, cue) for cue in _OR_CUES) else 0.12
+        tokens = self._tokens(ctx.nlq)
+        or_evidence = 0.65 if self._has_any(tokens, _OR_CUES) else 0.12
         # "or" as part of listing projections is common; damp when few
         # literals are available for predicates.
         if "or" not in tokens:
@@ -219,8 +274,9 @@ class LexicalGuidanceModel(GuidanceModel):
     # -- DESC/ASC ------------------------------------------------------------------
     def direction(self, ctx: GuidanceContext,
                   column: ColumnRef) -> Distribution[Tuple[Direction, bool]]:
-        desc = self._has_any(ctx.nlq, _DESC_CUES)
-        has_limit = self._has_any(ctx.nlq, ("top", "first", "limit")) and \
+        tokens = self._tokens(ctx.nlq)
+        desc = self._has_any(tokens, _DESC_CUES)
+        has_limit = self._has_any(tokens, ("top", "first", "limit")) and \
             bool(ctx.nlq.number_literals)
         primary = (Direction.DESC if desc else Direction.ASC, has_limit)
         probs = []
@@ -232,10 +288,11 @@ class LexicalGuidanceModel(GuidanceModel):
 
     # -- HAVING -----------------------------------------------------------------------
     def having_presence(self, ctx: GuidanceContext) -> Distribution[bool]:
+        tokens = self._tokens(ctx.nlq)
         evidence = 0.1
-        if self._has_any(ctx.nlq, ("more than", "at least", "fewer than",
-                                   "less than")) and \
-                self._has_any(ctx.nlq, _GROUP_CUES):
+        if self._has_any(tokens, ("more than", "at least", "fewer than",
+                                  "less than")) and \
+                self._has_any(tokens, _GROUP_CUES):
             evidence = 0.6
         return Distribution.binary(evidence)
 

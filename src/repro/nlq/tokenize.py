@@ -95,12 +95,16 @@ def overlap_score(query_stems: Set[str], name: str) -> float:
 
 def contains_phrase(text: str, phrase: str) -> bool:
     """True when every token of ``phrase`` occurs contiguously in ``text``."""
-    text_tokens = tokenize(text)
-    phrase_tokens = tokenize(phrase)
-    if not phrase_tokens:
+    return contains_tokens(tokenize(text), tokenize(phrase))
+
+
+def contains_tokens(tokens: Sequence[str], phrase: Sequence[str]) -> bool:
+    """:func:`contains_phrase` over text and phrase already tokenised."""
+    tokens, phrase = tuple(tokens), tuple(phrase)
+    if not phrase:
         return False
-    span = len(phrase_tokens)
-    for start in range(len(text_tokens) - span + 1):
-        if text_tokens[start:start + span] == phrase_tokens:
+    span = len(phrase)
+    for start in range(len(tokens) - span + 1):
+        if tokens[start:start + span] == phrase:
             return True
     return False

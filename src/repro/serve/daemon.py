@@ -95,9 +95,12 @@ class SynthesisDaemon:
     ``databases`` maps serving names to live databases; the daemon
     forks each one (snapshot + rehydrate) so the served connections are
     thread-hoppable — construct the daemon in the thread that built the
-    databases. ``config`` applies to every session; the default enables
-    multi-worker verification and guidance batching so warm pools and
-    the shared distribution cache actually engage.
+    databases. ``config`` applies to every session; the default
+    verifies inline and batches guidance, so the shared distribution
+    cache engages. Worker threads are opt-in (a config with
+    ``workers > 1``): verification's CPU-bound stages serialise on the
+    GIL, and on the hosts measured so far (one and two CPUs) each
+    round's hand-off to the threads cost more than it overlapped.
     """
 
     #: Default LRU bound on live per-database probe caches, mirroring
@@ -129,8 +132,7 @@ class SynthesisDaemon:
             raise ValueError("the daemon needs at least one database")
         self.config = config or EnumeratorConfig(max_candidates=200,
                                                  time_budget=30.0,
-                                                 workers=2,
-                                                 verify_backend="threads",
+                                                 workers=1,
                                                  guidance_batch=True)
         guidance = make_guidance_backend(
             model or LexicalGuidanceModel(),

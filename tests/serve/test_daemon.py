@@ -73,6 +73,34 @@ class TestGoldenEquivalence:
         assert wire_stream(round2) == expected
 
 
+class TestDefaultConfig:
+    def test_default_config_verifies_inline(self, daemon_factory,
+                                            client_for):
+        """Without a config the daemon verifies inline: no worker
+        thread spawns, nothing degrades, and the stream is a direct
+        single-worker run's."""
+        import dataclasses
+
+        handle = daemon_factory({"movies": build_movie_db()}, config=None)
+        daemon = handle.daemon
+        assert daemon.config.workers == 1
+        daemon.config = dataclasses.replace(
+            daemon.config, max_candidates=24, time_budget=10.0)
+        client = client_for(handle)
+        response = client.create("movies", NLQ, literals=list(LITERALS),
+                                 tsq_rows=[list(r) for r in TSQ_ROWS])
+        expected = reference_stream(build_movie_db(),
+                                    config=serve_config(workers=1))
+        assert expected and wire_stream(response) == expected
+        assert response["telemetry"]["workers"] == 1
+        assert not response["telemetry"]["snapshot_degraded"]
+
+        stats = client.stats()
+        assert stats["pool"]["worker_spawns"] == 0
+        assert stats["pool"]["fallback_leases"] == 1
+        assert stats["epoch"] == 0 and stats["degrade_reason"] == ""
+
+
 class TestConcurrentSessions:
     def test_concurrent_sessions_bit_identical_and_shared(
             self, daemon_factory, two_dbs):

@@ -20,7 +20,7 @@ space is the grammar the planner actually sees.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sqlir.canon import canonicalize_probe, probe_plan_key
@@ -140,17 +140,26 @@ class TestNoStructuralCollisions:
     @settings(max_examples=100, deadline=None)
     @given(first=st.tuples(_NAMES, st.tuples(_NAMES, _OPS, _VALUES)),
            second=st.tuples(_NAMES, st.tuples(_NAMES, _OPS, _VALUES)))
+    @example(first=("movie", ("movie", "<", 0)),
+             second=("movie", ("movie", "<", "")))
     def test_different_structures_never_collide(self, first, second):
         """Two single-condition probes canonicalise to the same
-        signature iff their structure — table, column, operator, and
-        literal *kind* (string probes carry COLLATE NOCASE) — agrees."""
+        signature iff their structure — table, column, operator, and,
+        under ``=``, literal *kind* — agrees. Only string equality
+        carries COLLATE NOCASE, so ``movie < 0`` and ``movie < ''``
+        share a signature (one prepared plan); their cache keys still
+        differ through the parameters."""
         (t1, (c1, o1, v1)), (t2, (c2, o2, v2)) = first, second
-        sig1 = canonicalize_probe(render_probe(t1, [(c1, o1, v1)]))[0]
-        sig2 = canonicalize_probe(render_probe(t2, [(c2, o2, v2)]))[0]
+        sig1, params1 = canonicalize_probe(render_probe(t1, [(c1, o1, v1)]))
+        sig2, params2 = canonicalize_probe(render_probe(t2, [(c2, o2, v2)]))
+        same_kind = isinstance(v1, str) == isinstance(v2, str)
         structurally_equal = (
             t1 == t2 and c1 == c2 and o1 == o2
-            and isinstance(v1, str) == isinstance(v2, str))
+            and (o1 != "=" or same_kind))
         assert (sig1 == sig2) == structurally_equal
+        if not same_kind:
+            assert probe_plan_key(sig1, params1) != \
+                probe_plan_key(sig2, params2)
 
     @settings(max_examples=50, deadline=None)
     @given(table=_NAMES, conditions=_CONDITIONS)
