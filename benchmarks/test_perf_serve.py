@@ -51,8 +51,7 @@ def serve_config(**overrides):
 
     base = dict(time_budget=None, max_candidates=24,
                 max_expansions=30000, workers=2,
-                verify_backend="threads", guidance_batch=True,
-                guidance_cache_size=65536)
+                verify_backend="threads", guidance_cache_size=65536)
     base.update(overrides)
     return EnumeratorConfig(**base)
 

@@ -63,7 +63,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                                   workers=args.workers,
                                   verify_backend=args.verify_backend,
                                   beam_width=args.beam_width,
-                                  guidance_batch=args.guidance_batch,
                                   guidance_cache_size=args.guidance_cache_size,
                                   guidance_server=args.guidance_server,
                                   probe_planner=args.probe_planner,
@@ -134,13 +133,12 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                   f"{telemetry.probe_cache_entries} live, "
                   f"{telemetry.probe_cache_evictions} evicted, "
                   f"{telemetry.evicted_flushed} flushed to store")
-        if telemetry.guidance_batched:
-            served = " (degraded to the local model)" \
-                if telemetry.guidance_degraded else ""
-            print(f"[guidance] {telemetry.guide_calls} of "
-                  f"{telemetry.guide_requests} requests scored in "
-                  f"{telemetry.guide_batch_calls} batches, "
-                  f"{telemetry.guide_hits} cache hits{served}")
+        served = " (degraded to the local model)" \
+            if telemetry.guidance_degraded else ""
+        print(f"[guidance] {telemetry.guide_calls} of "
+              f"{telemetry.guide_requests} requests scored in "
+              f"{telemetry.guide_batch_calls} batches, "
+              f"{telemetry.guide_hits} cache hits{served}")
         _print_fault_receipts(config.fault_plan)
     return 0
 
@@ -165,7 +163,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             timeout=args.timeout, engine=args.engine, workers=args.workers,
             verify_backend=args.verify_backend,
             beam_width=args.beam_width, cache_dir=args.cache_dir,
-            guidance_batch=args.guidance_batch,
             guidance_cache_size=args.guidance_cache_size,
             guidance_server=args.guidance_server,
             probe_planner=args.probe_planner,
@@ -239,13 +236,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(f"\n[memory] probe cache bounded at "
               f"{sim_config.probe_cache_entries} entries: peak {peak} "
               f"live, {evictions} evicted, {flushed} flushed to store")
-    if sim_config.guidance_batch or sim_config.guidance_server:
-        scored = sum(t.get("guide_calls", 0) for t in gpqe)
-        requests = sum(t.get("guide_requests", 0) for t in gpqe)
-        cache_hits = sum(t.get("guide_hits", 0) for t in gpqe)
-        degraded = sum(1 for t in gpqe if t.get("guidance_degraded"))
-        print(f"\n[guidance] {scored} of {requests} requests scored, "
-              f"{cache_hits} cache hits, {degraded} degraded tasks")
+    scored = sum(t.get("guide_calls", 0) for t in gpqe)
+    requests = sum(t.get("guide_requests", 0) for t in gpqe)
+    cache_hits = sum(t.get("guide_hits", 0) for t in gpqe)
+    degraded = sum(1 for t in gpqe if t.get("guidance_degraded"))
+    print(f"\n[guidance] {scored} of {requests} requests scored, "
+          f"{cache_hits} cache hits, {degraded} degraded tasks")
     _print_fault_receipts(sim_config.fault_plan, leading_blank=True)
     return 0
 
@@ -310,7 +306,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         generate_corpus,
     )
     from .serve import SynthesisDaemon
-    from .serve.protocol import parse_address
+    from .wire import parse_address
 
     try:
         host, port = parse_address(args.address)
@@ -324,16 +320,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             seed=args.seed))
         databases.update(corpus.databases)
     try:
-        # Guidance batching is always on under the daemon: the shared
-        # distribution cache is one of the resources it exists to own
-        # (and the wrapper never changes candidate streams).
         config = EnumeratorConfig(time_budget=args.timeout,
                                   max_candidates=args.top,
                                   engine=args.engine,
                                   workers=args.workers,
                                   verify_backend=args.verify_backend,
                                   beam_width=args.beam_width,
-                                  guidance_batch=True,
                                   guidance_cache_size=args.guidance_cache_size,
                                   guidance_server=args.guidance_server,
                                   probe_planner=args.probe_planner,
@@ -448,23 +440,19 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
                              "to the disk store first, so bounded caches "
                              "still warm-start (Evict/Flushed telemetry "
                              "columns)")
-    parser.add_argument("--guidance-batch", dest="guidance_batch",
-                        action="store_true",
-                        help="deduplicate and cache guidance decisions "
-                             "behind the round-level score_batch seam; "
-                             "never changes the candidate stream "
-                             "(GuideCalls/GuideHits telemetry columns)")
     parser.add_argument("--guidance-cache-size", dest="guidance_cache_size",
                         type=_positive_int, default=4096,
-                        help="bound (entries) for the guidance "
-                             "distribution cache (default: 4096)")
+                        help="bound (entries) for the distribution cache "
+                             "that deduplicates guidance decisions; "
+                             "never changes the candidate stream "
+                             "(GuideCalls/GuideHits telemetry columns; "
+                             "default: 4096)")
     parser.add_argument("--guidance-server", dest="guidance_server",
                         default=None, metavar="HOST:PORT",
                         help="score guidance batches on an out-of-process "
                              "scorer (see examples/guidance_server.py); "
-                             "implies --guidance-batch, and degrades "
-                             "visibly to the local model if the server "
-                             "fails")
+                             "degrades visibly to the local model if the "
+                             "server fails")
     parser.add_argument("--fault-plan", dest="fault_plan",
                         default=None, metavar="SPEC",
                         help="deterministic fault injection for chaos "

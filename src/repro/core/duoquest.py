@@ -15,11 +15,7 @@ from typing import Callable, List, Optional, Sequence
 
 from ..db.database import Database
 from ..guidance.base import GuidanceModel
-from ..guidance.batched import (
-    BatchingGuidanceModel,
-    close_guidance,
-    make_guidance_backend,
-)
+from ..guidance.batched import close_guidance, make_guidance_backend
 from ..guidance.lexical import LexicalGuidanceModel
 from ..nlq.literals import NLQuery
 from ..sqlir.ast import Query
@@ -88,23 +84,19 @@ class Duoquest:
                  pool_manager: Optional[PoolManager] = None):
         self.db = db
         self.config = config or EnumeratorConfig()
-        model = model or LexicalGuidanceModel()
-        # The facade — not the per-synthesize Enumerator — owns the
-        # guidance backend it creates: the batching wrapper's cache then
-        # amortises across synthesize() calls, a server backend opens
-        # one connection per system instead of one per enumeration, and
-        # close() below can release it. A model the caller wrapped
-        # already (the eval harness) is left alone and never closed
-        # here.
-        self._owns_guidance = False
-        if self.config.guidance_batch \
-                and not isinstance(model, BatchingGuidanceModel):
-            model = make_guidance_backend(
-                model, batch=True,
-                cache_size=self.config.guidance_cache_size,
-                server=self.config.guidance_server)
-            self._owns_guidance = True
-        self.model = model
+        given = model or LexicalGuidanceModel()
+        # The facade — not the per-synthesize Enumerator — builds the
+        # guidance backend: the batching wrapper's cache then amortises
+        # across synthesize() calls, and a server backend opens one
+        # connection per system instead of one per enumeration. A model
+        # the caller wrapped already (the eval harness, the daemon)
+        # comes back unchanged. close() releases only a server backend
+        # the facade created; the caller's model stays the caller's.
+        self.model = make_guidance_backend(
+            given, cache_size=self.config.guidance_cache_size,
+            server=self.config.guidance_server)
+        self._owns_guidance = self.model is not given \
+            and self.model.inner is not given
         #: optional shared probe cache; the eval harness passes one per
         #: database so probe answers are reused across tasks
         self.probe_cache = probe_cache
@@ -114,10 +106,9 @@ class Duoquest:
         self.pool_manager = pool_manager
 
     def close(self) -> None:
-        """Release the guidance backend, if this facade created it.
-
-        A no-op when the caller supplied a pre-wrapped (or plain)
-        model — whoever wrapped it owns it. Idempotent.
+        """Release the guidance server backend, if this facade created
+        it. Never closes a model the caller passed in, wrapped or not.
+        Idempotent.
         """
         if self._owns_guidance:
             close_guidance(self.model)

@@ -44,12 +44,7 @@ from ..guidance.base import (
     SLOT_SELECT,
     SLOT_WHERE,
 )
-from ..errors import GuidanceError
-from ..guidance.batched import (
-    BatchingGuidanceModel,
-    make_guidance_backend,
-    parse_server_address,
-)
+from ..guidance.batched import make_guidance_backend
 from ..nlq.literals import Literal, NLQuery
 from ..sqlir.ast import (
     HOLE,
@@ -68,6 +63,7 @@ from ..sqlir.ast import (
     Where,
 )
 from ..sqlir.types import ColumnType
+from ..wire import parse_address
 from .joins import JoinPathBuilder
 from .search import (
     Candidate,
@@ -118,17 +114,16 @@ class EnumeratorConfig:
     #: states popped per expansion round; None = engine picks
     #: (max(1, workers) for best-first, the beam width for beams)
     batch_size: Optional[int] = None
-    #: wrap the guidance model in a BatchingGuidanceModel: identical
-    #: requests within a round are scored once, repeats across rounds
-    #: are served from a bounded distribution cache. Never changes the
-    #: candidate stream (deterministic models answer equal requests
-    #: equally); observable in the GuideCalls/GuideHits telemetry.
-    guidance_batch: bool = False
-    #: bound (entries) for the guidance distribution cache
+    #: bound (entries) for the guidance distribution cache. Guidance
+    #: always runs behind a BatchingGuidanceModel: identical requests
+    #: within a round are scored once, repeats across rounds are served
+    #: from the cache. Never changes the candidate stream
+    #: (deterministic models answer equal requests equally); observable
+    #: in the GuideCalls/GuideHits telemetry.
     guidance_cache_size: int = 4096
     #: HOST:PORT of an out-of-process guidance scorer (see
-    #: examples/guidance_server.py); implies guidance_batch. Server
-    #: failures degrade visibly to the local model.
+    #: examples/guidance_server.py). Server failures degrade visibly to
+    #: the local model.
     guidance_server: Optional[str] = None
     #: probe-planner mode (see repro.core.search.planner): "off" keeps
     #: the raw-SQL probe path, "plan" compiles probes into shared
@@ -201,17 +196,7 @@ class EnumeratorConfig:
             except ValueError as exc:
                 raise ValueError(f"invalid fault plan: {exc}") from None
         if self.guidance_server:
-            # Re-raised as ValueError: this is the same configuration
-            # boundary that rejects bad worker counts, and callers (the
-            # CLI) catch ValueError there.
-            try:
-                parse_server_address(self.guidance_server)
-            except GuidanceError as exc:
-                raise ValueError(str(exc)) from None
-            # The server backend only pays off through batching (one
-            # request per round trip would defeat it), so the flag
-            # implies the wrapper.
-            self.guidance_batch = True
+            parse_address(self.guidance_server)
 
 
 #: Backwards-compatible alias — the state type now lives in the search
@@ -236,17 +221,13 @@ class Enumerator:
         self.nlq = nlq
         self.tsq = tsq if tsq is not None else TableSketchQuery()
         self.config = config or EnumeratorConfig()
-        # The guidance-backend config wraps the model here unless the
-        # caller (the eval harness) already did — a harness-level
-        # wrapper shares its distribution cache across every
-        # enumeration of a run, which is where most repeats live.
-        if self.config.guidance_batch \
-                and not isinstance(model, BatchingGuidanceModel):
-            model = make_guidance_backend(
-                model, batch=True,
-                cache_size=self.config.guidance_cache_size,
-                server=self.config.guidance_server)
-        self.model = model
+        # The guidance backend is built here unless the caller (the
+        # facade, the eval harness) already wrapped the model — a
+        # shared wrapper keeps its distribution cache across every
+        # enumeration, which is where most repeats live.
+        self.model = make_guidance_backend(
+            model, cache_size=self.config.guidance_cache_size,
+            server=self.config.guidance_server)
         self.joins = JoinPathBuilder(
             self.schema, max_extensions=self.config.max_join_extensions)
         # ``probe_cache`` lets a caller (the eval harness) share one

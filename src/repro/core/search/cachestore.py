@@ -278,7 +278,7 @@ class PersistentProbeCache:
         Returns ``(cache, loaded)`` where ``loaded`` counts the entries
         seeded from disk (0 on a cold start). Seeded entries carry the
         warm-generation stamp, so hits on them are reported as
-        ``warm_start_hits`` rather than within-run cross-task hits.
+        ``warm_start_probe_hits`` rather than within-run cross-task hits.
 
         With ``max_entries`` set the cache is created *bounded* (LRU
         eviction past the bound) and this store is attached as its

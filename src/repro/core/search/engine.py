@@ -34,7 +34,6 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ... import faults
 from ...guidance.base import GuidanceRequest
-from ...guidance.batched import BatchingGuidanceModel
 from ...sqlir.ast import Query
 from ...sqlir.canon import signature
 from ..verifier import VerifyResult
@@ -155,7 +154,9 @@ class SearchProblem:
     """What the engine needs from the domain (implemented by Enumerator).
 
     * ``config`` — an :class:`~repro.core.enumerator.EnumeratorConfig`
-    * ``model`` — the :class:`~repro.guidance.base.GuidanceModel`
+    * ``model`` — the
+      :class:`~repro.guidance.batched.BatchingGuidanceModel` every
+      decision is scored through (its counters fold into telemetry)
     * ``verifier`` — the primary :class:`~repro.core.verifier.Verifier`
     * ``pool_manager`` — optional
       :class:`~repro.core.search.parallel.PoolManager`; when present the
@@ -195,7 +196,6 @@ class SearchEngine:
             else SearchTelemetry()
         self.telemetry.engine = frontier.name
         self.telemetry.workers = self.workers
-        self.telemetry.verify_backend = verify_backend
         #: cost-aware scheduling ("off" is the bit-for-bit seed path;
         #: see :mod:`repro.core.search.costmodel` and :meth:`_dispatch`)
         self.cost_order = cost_order
@@ -276,34 +276,22 @@ class SearchEngine:
         pool = manager.lease(problem.verifier, backend=self.verify_backend,
                              workers=self.workers)
         telemetry.pool_reused = pool.reused
-        # A batching guidance wrapper may be shared across enumerations
-        # (the eval harness wraps the oracle once per run), so record
-        # counter deltas, not totals — the same discipline as the
-        # shared probe cache below.
+        # The probe cache, the planner and the guidance wrapper may be
+        # shared across enumerations (the harness and the daemon share
+        # them; thread forks share the primary's), so record per-run
+        # deltas, not totals. The fault book and the database's retry
+        # count outlive a single run the same way.
         model = problem.model
-        guidance = model if isinstance(model, BatchingGuidanceModel) \
-            else None
-        guide_start = guidance.counters.copy() \
-            if guidance is not None else None
         cache = problem.verifier.probe_cache
-        probe_hits_start = cache.hits
-        probe_misses_start = cache.misses
-        cross_task_start = cache.cross_task_hits
-        warm_start_start = cache.warm_start_hits
-        evictions_start = cache.evictions
-        evicted_flushed_start = cache.evicted_flushed
-        # The probe planner, like the cache, may be shared across
-        # enumerations (and thread forks share the primary's) — record
-        # per-run deltas.
         planner = getattr(problem.verifier, "planner", None)
-        planner_start = planner.counters.copy() if planner is not None \
-            else None
-        reconnects_start = int(getattr(model, "reconnects", 0))
-        # Fault accounting mirrors the shared-counter discipline above:
-        # the injector and the db retry counter outlive a single run.
-        faults_start = faults.injected_total()
-        db_stats = getattr(problem.verifier.db, "stats", None)
-        retries_start = int(getattr(db_stats, "retries", 0))
+        sources = [cache.counters, model.counters]
+        if planner is not None:
+            sources.append(planner.counters)
+            telemetry.probe_planner = planner.mode
+        starts = [counters.snapshot() for counters in sources]
+        faults_start = faults.book()
+        db_stats = problem.verifier.db.stats
+        db_start = db_stats.snapshot()
         # Cooperative cancellation: supplied by the domain (a session
         # passes its token through the Enumerator). Checked at the same
         # safe points as max_expansions / time budget.
@@ -465,60 +453,27 @@ class SearchEngine:
                 telemetry.beam_dropped = frontier.dropped
                 telemetry.guidance_calls = self.scheduler.calls
                 telemetry.guidance_batches = self.scheduler.batches
-                telemetry.guidance_degraded = \
-                    bool(getattr(model, "degraded", False))
-                if guidance is not None:
-                    delta = guidance.counters.delta_since(guide_start)
-                    telemetry.guidance_batched = True
-                    telemetry.guide_requests = delta.requests_in
-                    telemetry.guide_calls = delta.unique_scored
-                    telemetry.guide_hits = delta.cache_hits
-                    telemetry.guide_batch_calls = delta.batch_calls
-                else:
-                    # Unwrapped models score once per request, so the
-                    # GuideCalls/GuideHits columns stay comparable
-                    # across batched and unbatched rows.
-                    telemetry.guide_requests = self.scheduler.calls
-                    telemetry.guide_calls = self.scheduler.calls
-                    telemetry.guide_batch_calls = self.scheduler.batches
+                telemetry.guidance_degraded = model.degraded
                 # Refreshed here because a lease can degrade mid-run (a
                 # failed batch): report the effective state — a
                 # degraded lease ran inline, not on a warm pool.
                 telemetry.snapshot_degraded = pool.degraded
                 telemetry.workers = pool.workers
+                telemetry.verify_backend = \
+                    "threads" if pool.workers > 1 else "inline"
                 if pool.degraded:
                     telemetry.pool_reused = False
-                # Deltas, not totals: a cache shared across tasks must
-                # not attribute earlier enumerations' traffic to this one.
-                telemetry.probe_hits = cache.hits - probe_hits_start
-                telemetry.probe_misses = cache.misses - probe_misses_start
-                telemetry.cross_task_probe_hits = \
-                    cache.cross_task_hits - cross_task_start
-                telemetry.warm_start_probe_hits = \
-                    cache.warm_start_hits - warm_start_start
-                telemetry.probe_cache_evictions = \
-                    cache.evictions - evictions_start
                 # Settle the eviction buffer inside this task's
                 # accounting window, so the flushed delta is truthful
                 # and buffered evictions never outlive the task that
                 # caused them. A no-op unbounded or without a sink.
                 cache.flush_evicted()
-                telemetry.evicted_flushed = \
-                    cache.evicted_flushed - evicted_flushed_start
+                for counters, begun in zip(sources, starts):
+                    telemetry.record(counters.delta_since(begun))
                 # A level, not a delta: the bound-watching number.
                 telemetry.probe_cache_entries = len(cache)
-                if planner is not None:
-                    delta = planner.counters.delta_since(planner_start)
-                    telemetry.probe_planner = planner.mode
-                    telemetry.probe_compiles = delta.compiles
-                    telemetry.probe_plan_hits = delta.plan_hits
-                    telemetry.probe_batch_stmts = delta.batch_stmts
-                    telemetry.probe_batch_fallbacks = delta.batch_fallbacks
-                    telemetry.probe_fused_groups = delta.fused_groups
-                    telemetry.probe_fuse_fallbacks = delta.fuse_fallbacks
-                telemetry.guidance_reconnects = \
-                    int(getattr(model, "reconnects", 0)) - reconnects_start
-                telemetry.faults_injected = \
-                    faults.injected_total() - faults_start
+                telemetry.faults_injected = sum(
+                    faults.book().delta_since(faults_start).injected
+                    .values())
                 telemetry.transient_retries = \
-                    int(getattr(db_stats, "retries", 0)) - retries_start
+                    db_stats.delta_since(db_start).retries

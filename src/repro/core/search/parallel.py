@@ -380,7 +380,7 @@ class WorkerPool:
         for db in self._fork_dbs:
             delta = db.stats.delta_since(self._folded[id(db)])
             self._folded[id(db)] = db.stats.snapshot()
-            self.db.merge_stats(delta)
+            self.db.stats.absorb(delta)
 
     # ------------------------------------------------------------------
     def retire(self, reason: str) -> None:

@@ -76,6 +76,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ...counters import Counters
 from ...db.database import Database
 from ...errors import ExecutionError, ExecutionTimeout
 from ...sqlir.canon import (
@@ -124,45 +125,27 @@ class ProbePlan:
 
 
 @dataclass
-class PlannerCounters:
+class PlannerCounters(Counters):
     """What the planner saved, as running totals.
 
     The search engine snapshots these at run start and records per-run
     deltas into telemetry — the same delta discipline as the shared
     probe cache, so a planner shared across tasks never attributes one
-    task's traffic to another.
+    task's traffic to another. Fields carry their telemetry names.
     """
 
     #: unique structural signatures consumed (first use of a shape)
-    compiles: int = 0
+    probe_compiles: int = 0
     #: probes served by an already-compiled signature (plan reuse)
-    plan_hits: int = 0
+    probe_plan_hits: int = 0
     #: fused multi-probe statements executed by round prefetching
-    batch_stmts: int = 0
-    #: probes answered inside fused statements (arms executed)
-    batched_probes: int = 0
+    probe_batch_stmts: int = 0
     #: fused statements that failed and fell back to individual probing
-    batch_fallbacks: int = 0
+    probe_batch_fallbacks: int = 0
     #: grouped single-scan statements executed by the fuse mode
-    fused_groups: int = 0
+    probe_fused_groups: int = 0
     #: fused groups whose scan failed and degraded to UNION ALL fusion
-    fuse_fallbacks: int = 0
-
-    def copy(self) -> "PlannerCounters":
-        return PlannerCounters(self.compiles, self.plan_hits,
-                               self.batch_stmts, self.batched_probes,
-                               self.batch_fallbacks, self.fused_groups,
-                               self.fuse_fallbacks)
-
-    def delta_since(self, earlier: "PlannerCounters") -> "PlannerCounters":
-        return PlannerCounters(
-            self.compiles - earlier.compiles,
-            self.plan_hits - earlier.plan_hits,
-            self.batch_stmts - earlier.batch_stmts,
-            self.batched_probes - earlier.batched_probes,
-            self.batch_fallbacks - earlier.batch_fallbacks,
-            self.fused_groups - earlier.fused_groups,
-            self.fuse_fallbacks - earlier.fuse_fallbacks)
+    probe_fuse_fallbacks: int = 0
 
 
 class ProbePlanner:
@@ -224,10 +207,10 @@ class ProbePlanner:
         if count:
             with self._lock:
                 if plan.sql in self._counted:
-                    self.counters.plan_hits += 1
+                    self.counters.probe_plan_hits += 1
                 else:
                     self._counted.add(plan.sql)
-                    self.counters.compiles += 1
+                    self.counters.probe_compiles += 1
         return plan
 
     def probe(self, db: Database, cache, sql: str) -> bool:
@@ -336,7 +319,7 @@ class ProbePlanner:
                               kind="probe_batch")
         except ExecutionError as exc:
             with self._lock:
-                self.counters.batch_fallbacks += 1
+                self.counters.probe_batch_fallbacks += 1
             logger.debug("fused probe statement failed (%s); falling back "
                          "to individual probes", exc)
             return 0
@@ -344,8 +327,7 @@ class ProbePlanner:
         for tag, plan in enumerate(plans):
             cache.record_probe(plan.key, tag in matched)
         with self._lock:
-            self.counters.batch_stmts += 1
-            self.counters.batched_probes += len(plans)
+            self.counters.probe_batch_stmts += 1
         return len(plans)
 
     # ------------------------------------------------------------------
@@ -500,7 +482,7 @@ class ProbePlanner:
             return 0
         except ExecutionError as exc:
             with self._lock:
-                self.counters.fuse_fallbacks += 1
+                self.counters.probe_fuse_fallbacks += 1
             logger.debug("fused group scan failed (%s); degrading to "
                          "UNION ALL fusion", exc)
             return self._execute_fused(db, cache, plans) \
@@ -515,6 +497,5 @@ class ProbePlanner:
             cache.record_minmax(column, (row[base + 2 * offset],
                                          row[base + 2 * offset + 1]))
         with self._lock:
-            self.counters.fused_groups += 1
-            self.counters.batched_probes += len(plans)
+            self.counters.probe_fused_groups += 1
         return len(plans) + len(columns)

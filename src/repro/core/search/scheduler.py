@@ -4,13 +4,12 @@ The seed enumerator asked the guidance model one question at a time.
 The scheduler instead collects every pending decision of a round (one
 per state being expanded) and pushes them through
 :meth:`repro.guidance.base.GuidanceModel.score_batch` in a single call.
-For the bundled lexical/oracle backends this is a plain loop; wrap the
-model in :class:`repro.guidance.batched.BatchingGuidanceModel`
-(``EnumeratorConfig.guidance_batch``) and the call also deduplicates
-identical requests within the round and serves repeats from a bounded
-distribution cache — and :class:`~repro.guidance.batched.\
-ServerGuidanceModel` ships the whole round to an out-of-process scorer
-in one round trip.
+The model it is handed is always a
+:class:`repro.guidance.batched.BatchingGuidanceModel`, so the call
+deduplicates identical requests within the round and serves repeats
+from a bounded distribution cache — and, with a
+:class:`~repro.guidance.batched.ServerGuidanceModel` under the wrapper,
+ships the whole round to an out-of-process scorer in one round trip.
 
 Distributions are memoised by partial query, so a state whose batch
 was cut short by a push-back (see the engine) reuses its already-scored

@@ -3,12 +3,19 @@
 One :class:`SearchTelemetry` instance accompanies each search run and is
 surfaced on :class:`~repro.core.duoquest.SynthesisResult`; the eval
 layer aggregates and formats it (``repro.eval.reports.search_report``).
+The counter families the engine folds in per run
+(:class:`~repro.counters.Counters` subclasses of the probe cache, the
+probe planner and the guidance wrapper) name their fields after the
+telemetry fields below, so :meth:`SearchTelemetry.record` copies a
+family's delta without restating a single counter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict
+
+from ...counters import Counters
 
 
 @dataclass
@@ -17,8 +24,9 @@ class SearchTelemetry:
 
     engine: str = "best-first"
     workers: int = 1
-    #: verification backend ("inline" or "threads")
-    verify_backend: str = "threads"
+    #: verification backend that ran: "threads" when the lease verified
+    #: on more than one worker, "inline" otherwise (a degrade included)
+    verify_backend: str = "inline"
     #: True when the verification pool fell back to inline verification
     #: (no sqlite snapshot support, a failed worker batch, a closed or
     #: unavailable pool)
@@ -43,21 +51,19 @@ class SearchTelemetry:
     #: guidance decisions scored / batches issued
     guidance_calls: int = 0
     guidance_batches: int = 0
-    #: True when guidance ran behind a BatchingGuidanceModel wrapper
-    guidance_batched: bool = False
     #: True when a guidance server degraded to the local fallback model
     guidance_degraded: bool = False
     #: guidance requests entering the batching layer this run
     guide_requests: int = 0
     #: requests the underlying model actually scored (the GuideCalls
-    #: column; equals guidance_calls when batching is off)
+    #: column)
     guide_calls: int = 0
     #: requests answered from the guidance distribution cache (the
-    #: GuideHits column; 0 when batching is off)
+    #: GuideHits column)
     guide_hits: int = 0
-    #: underlying-model invocations (batched round trips); with batching
-    #: on this is strictly smaller than guide_requests whenever a round
-    #: scored more than one decision
+    #: underlying-model invocations (batched round trips); strictly
+    #: smaller than guide_requests whenever a round scored more than
+    #: one decision
     guide_batch_calls: int = 0
     #: speculative batch rounds cut short because a fresh child outranked
     #: the rest of the batch (the push-back that keeps ranking exact)
@@ -144,53 +150,10 @@ class SearchTelemetry:
     def candidates_per_second(self) -> float:
         return self.emitted / self.wall_time if self.wall_time > 0 else 0.0
 
+    def record(self, delta: Counters) -> None:
+        """Set the fields named like ``delta``'s to its counts."""
+        for name, value in delta.as_dict().items():
+            setattr(self, name, value)
+
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "engine": self.engine,
-            "workers": self.workers,
-            "verify_backend": self.verify_backend,
-            "snapshot_degraded": self.snapshot_degraded,
-            "wall_time": self.wall_time,
-            "expansions": self.expansions,
-            "generated": self.generated,
-            "emitted": self.emitted,
-            "duplicates": self.duplicates,
-            "pruned_partial": self.pruned_partial,
-            "pruned_complete": self.pruned_complete,
-            "prunes_by_stage": dict(self.prunes_by_stage),
-            "beam_dropped": self.beam_dropped,
-            "guidance_calls": self.guidance_calls,
-            "guidance_batches": self.guidance_batches,
-            "guidance_batched": self.guidance_batched,
-            "guidance_degraded": self.guidance_degraded,
-            "guide_requests": self.guide_requests,
-            "guide_calls": self.guide_calls,
-            "guide_hits": self.guide_hits,
-            "guide_batch_calls": self.guide_batch_calls,
-            "pushbacks": self.pushbacks,
-            "probe_hits": self.probe_hits,
-            "probe_misses": self.probe_misses,
-            "cross_task_probe_hits": self.cross_task_probe_hits,
-            "warm_start_probe_hits": self.warm_start_probe_hits,
-            "probe_cache_entries": self.probe_cache_entries,
-            "probe_cache_evictions": self.probe_cache_evictions,
-            "evicted_flushed": self.evicted_flushed,
-            "pool_reused": self.pool_reused,
-            "probe_planner": self.probe_planner,
-            "probe_compiles": self.probe_compiles,
-            "probe_plan_hits": self.probe_plan_hits,
-            "probe_batch_stmts": self.probe_batch_stmts,
-            "probe_batch_fallbacks": self.probe_batch_fallbacks,
-            "probe_fused_groups": self.probe_fused_groups,
-            "probe_fuse_fallbacks": self.probe_fuse_fallbacks,
-            "guidance_reconnects": self.guidance_reconnects,
-            "faults_injected": self.faults_injected,
-            "transient_retries": self.transient_retries,
-            "cost_order": self.cost_order,
-            "cost_ordered": self.cost_ordered,
-            "probe_timeouts": self.probe_timeouts,
-            "cost_aborts": self.cost_aborts,
-            "cancelled": self.cancelled,
-            "cancel_reason": self.cancel_reason,
-            "cache_hit_rate": self.cache_hit_rate,
-        }
+        return dict(asdict(self), cache_hit_rate=self.cache_hit_rate)

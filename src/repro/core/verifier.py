@@ -19,6 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..counters import Counters
 from ..db.database import Database
 from ..db.schema import Schema
 from ..errors import ExecutionError, ExecutionTimeout
@@ -133,6 +134,23 @@ class PendingProbes:
     row_probes: Callable[[], Tuple[str, ...]]
 
 
+@dataclass
+class ProbeCacheCounters(Counters):
+    """A :class:`SharedProbeCache`'s running totals, named after the
+    telemetry fields their per-run deltas become."""
+
+    probe_hits: int = 0
+    probe_misses: int = 0
+    #: hits on entries written by an earlier task generation
+    cross_task_probe_hits: int = 0
+    #: hits on entries loaded from a persisted store (earlier process)
+    warm_start_probe_hits: int = 0
+    #: entries dropped to stay under ``max_entries``
+    probe_cache_evictions: int = 0
+    #: evicted entries persisted through the eviction sink
+    evicted_flushed: int = 0
+
+
 class SharedProbeCache:
     """Thread-safe memo for probe and min/max queries.
 
@@ -154,9 +172,9 @@ class SharedProbeCache:
 
     Entries seeded from a *persisted* store (an earlier process, via
     ``seed(..., warm=True)``) carry the sentinel :data:`WARM_GENERATION`
-    stamp; hits on them increment ``warm_start_hits`` instead of
-    ``cross_task_hits``, so telemetry can distinguish reuse within a
-    harness run from disk-backed warm starts across runs.
+    stamp; hits on them increment ``warm_start_probe_hits`` instead of
+    ``cross_task_probe_hits``, so telemetry can distinguish reuse within
+    a harness run from disk-backed warm starts across runs.
 
     **Bounded mode.** By default the cache grows without bound — probe
     answers are facts of the database, and a short-lived harness run
@@ -170,8 +188,8 @@ class SharedProbeCache:
     Warm-generation entries came *from* disk, so their eviction drops
     them silently — nothing is lost. Bounded mode never changes answers
     (an evicted entry merely costs a re-probe); only memory and the
-    ``evictions`` / ``evicted_flushed`` counters differ from unbounded
-    runs.
+    ``probe_cache_evictions`` / ``evicted_flushed`` counters differ
+    from unbounded runs.
     """
 
     #: Generation stamp for entries loaded from a persisted cache store
@@ -198,18 +216,9 @@ class SharedProbeCache:
         self._minmax_gen: Dict[ColumnRef, int] = {}
         self._generation = 0
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        #: hits on entries written by an earlier task generation
-        self.cross_task_hits = 0
-        #: hits on entries loaded from a persisted store (earlier process)
-        self.warm_start_hits = 0
+        self.counters = ProbeCacheCounters()
         #: LRU bound on total probe + minmax entries (None = unbounded)
         self.max_entries = max_entries
-        #: entries dropped to stay under ``max_entries``
-        self.evictions = 0
-        #: evicted entries persisted through the eviction sink
-        self.evicted_flushed = 0
         #: recency order over live entries; maintained only in bounded
         #: mode (key -> "probe" | "minmax"; str and ColumnRef keys never
         #: collide, so one ordered map covers both tables)
@@ -291,7 +300,7 @@ class SharedProbeCache:
                     continue
                 outcome = self._probes.pop(key)
                 generation = self._probe_gen.pop(key, None)
-                self.evictions += 1
+                self.counters.probe_cache_evictions += 1
                 if (self._eviction_sink is not None
                         and generation != self.WARM_GENERATION):
                     self._evicted_probes[key] = outcome
@@ -300,7 +309,7 @@ class SharedProbeCache:
                     continue
                 bounds = self._minmax.pop(key)
                 generation = self._minmax_gen.pop(key, None)
-                self.evictions += 1
+                self.counters.probe_cache_evictions += 1
                 if (self._eviction_sink is not None
                         and generation != self.WARM_GENERATION):
                     self._evicted_minmax[key] = bounds
@@ -328,7 +337,7 @@ class SharedProbeCache:
             minmax, self._evicted_minmax = self._evicted_minmax, {}
         flushed = sink(probes, minmax)
         with self._lock:
-            self.evicted_flushed += flushed
+            self.counters.evicted_flushed += flushed
         return flushed
 
     def flush_evicted(self) -> int:
@@ -337,8 +346,8 @@ class SharedProbeCache:
 
     @property
     def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        total = self.counters.probe_hits + self.counters.probe_misses
+        return self.counters.probe_hits / total if total else 0.0
 
     # ------------------------------------------------------------------
     # Task generations (cross-task reuse accounting)
@@ -351,7 +360,7 @@ class SharedProbeCache:
         """Start a new task generation; returns the new generation.
 
         Entries already cached belong to earlier generations, so hits on
-        them from now on are counted as ``cross_task_hits``.
+        them from now on are counted as ``cross_task_probe_hits``.
         """
         with self._lock:
             self._generation += 1
@@ -472,12 +481,12 @@ class SharedProbeCache:
                 wait_on = None
                 with self._lock:
                     if key in self._probes:
-                        self.hits += 1
+                        self.counters.probe_hits += 1
                         generation = self._probe_gen[key]
                         if generation == self.WARM_GENERATION:
-                            self.warm_start_hits += 1
+                            self.counters.warm_start_probe_hits += 1
                         elif generation < self._generation:
-                            self.cross_task_hits += 1
+                            self.counters.cross_task_probe_hits += 1
                         self._touch_locked(key, "probe")
                         return self._probes[key]
                     if self._inflight is not None:
@@ -513,7 +522,7 @@ class SharedProbeCache:
                 # pruning must stay sound, so treat it as satisfied.
                 outcome = True
             with self._lock:
-                self.misses += 1
+                self.counters.probe_misses += 1
                 if key not in self._probes:
                     self._probes[key] = outcome
                     self._probe_gen[key] = self._generation
@@ -542,7 +551,7 @@ class SharedProbeCache:
         reach the persistent store too.
         """
         with self._lock:
-            self.misses += 1
+            self.counters.probe_misses += 1
             if key not in self._probes:
                 self._probes[key] = outcome
                 self._probe_gen[key] = self._generation
@@ -566,7 +575,7 @@ class SharedProbeCache:
         so fused bounds reach the persistent store exactly like executed
         ones."""
         with self._lock:
-            self.misses += 1
+            self.counters.probe_misses += 1
             if column not in self._minmax:
                 self._minmax[column] = bounds
                 self._minmax_gen[column] = self._generation
@@ -578,17 +587,17 @@ class SharedProbeCache:
                column: ColumnRef) -> Tuple[Optional[Value], Optional[Value]]:
         with self._lock:
             if column in self._minmax:
-                self.hits += 1
+                self.counters.probe_hits += 1
                 generation = self._minmax_gen[column]
                 if generation == self.WARM_GENERATION:
-                    self.warm_start_hits += 1
+                    self.counters.warm_start_probe_hits += 1
                 elif generation < self._generation:
-                    self.cross_task_hits += 1
+                    self.counters.cross_task_probe_hits += 1
                 self._touch_locked(column, "minmax")
                 return self._minmax[column]
         bounds = db.column_min_max(column)
         with self._lock:
-            self.misses += 1
+            self.counters.probe_misses += 1
             if column not in self._minmax:
                 self._minmax[column] = bounds
                 self._minmax_gen[column] = self._generation

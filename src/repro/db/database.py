@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import faults
+from ..counters import Counters
 from ..errors import ExecutionError, ExecutionTimeout
 from ..faults import RetryPolicy
 from ..sqlir.ast import ColumnRef, Query
@@ -29,7 +30,7 @@ Row = Tuple[object, ...]
 
 
 @dataclass
-class ExecutionStats:
+class ExecutionStats(Counters):
     """Counters describing database work done so far."""
 
     statements: int = 0
@@ -42,27 +43,6 @@ class ExecutionStats:
         self.statements += 1
         self.rows_fetched += rows
         self.per_kind[kind] = self.per_kind.get(kind, 0) + 1
-
-    def snapshot(self) -> "ExecutionStats":
-        return ExecutionStats(statements=self.statements,
-                              rows_fetched=self.rows_fetched,
-                              timeouts=self.timeouts,
-                              retries=self.retries,
-                              per_kind=dict(self.per_kind))
-
-    def delta_since(self, before: "ExecutionStats") -> "ExecutionStats":
-        """Counters accrued since ``before`` (a prior :meth:`snapshot`)."""
-        per_kind = {}
-        for kind, count in self.per_kind.items():
-            delta = count - before.per_kind.get(kind, 0)
-            if delta:
-                per_kind[kind] = delta
-        return ExecutionStats(statements=self.statements - before.statements,
-                              rows_fetched=self.rows_fetched
-                              - before.rows_fetched,
-                              timeouts=self.timeouts - before.timeouts,
-                              retries=self.retries - before.retries,
-                              per_kind=per_kind)
 
 
 class Database:
@@ -183,16 +163,6 @@ class Database:
                     digest.update(b"\x1f")
             self._content_hash = digest.hexdigest()
         return self._content_hash
-
-    def merge_stats(self, other: "ExecutionStats") -> None:
-        """Fold a forked connection's counters into this one's stats."""
-        self.stats.statements += other.statements
-        self.stats.rows_fetched += other.rows_fetched
-        self.stats.timeouts += other.timeouts
-        self.stats.retries += other.retries
-        for kind, count in other.per_kind.items():
-            self.stats.per_kind[kind] = \
-                self.stats.per_kind.get(kind, 0) + count
 
     def insert_rows(self, table: str, rows: Iterable[Sequence[Value]]) -> int:
         """Bulk-insert rows into ``table``; returns the number inserted."""

@@ -96,19 +96,18 @@ class SimulationConfig:
     #: ``share_probe_cache`` (persistence piggybacks on the per-database
     #: caches); ``None`` disables persistence.
     cache_dir: Optional[str] = None
-    #: wrap the guidance model in a
+    #: bound (entries) for the guidance distribution cache. The run's
+    #: oracle is wrapped once in a
     #: :class:`~repro.guidance.batched.BatchingGuidanceModel` shared by
     #: every enumeration of the run — the harness runs many systems and
     #: variants over identical decisions, so the distribution cache
     #: amortises across tasks (the ``GuideHits`` column). Results never
     #: change (locked in by the equivalence matrix).
-    guidance_batch: bool = False
-    #: bound (entries) for the shared guidance distribution cache
     guidance_cache_size: int = 4096
     #: HOST:PORT of an out-of-process guidance scorer (the CLI's
-    #: ``--guidance-server``); implies ``guidance_batch``. A failing
-    #: server degrades visibly to the local oracle
-    #: (``guidance_degraded`` in telemetry), never silently.
+    #: ``--guidance-server``). A failing server degrades visibly to the
+    #: local oracle (``guidance_degraded`` in telemetry), never
+    #: silently.
     guidance_server: Optional[str] = None
     #: probe-planner mode (the CLI's ``--probe-planner``): "off" keeps
     #: the raw-SQL probe path, "plan" compiles probes into shared
@@ -154,7 +153,6 @@ class SimulationConfig:
                                 workers=self.workers,
                                 verify_backend=self.verify_backend,
                                 beam_width=self.beam_width,
-                                guidance_batch=self.guidance_batch,
                                 guidance_cache_size=self.guidance_cache_size,
                                 guidance_server=self.guidance_server,
                                 probe_planner=self.probe_planner,
@@ -179,20 +177,20 @@ def _context_for(config: SimulationConfig) -> ServiceContext:
 
 
 def _oracle(config: SimulationConfig) -> GuidanceModel:
-    """The run's guidance model, wrapped per the guidance-backend knobs.
+    """The run's guidance model behind its batching wrapper.
 
     Wrapping happens here — once per ``run_*`` call — rather than
     inside each enumeration, so the batching wrapper's distribution
     cache is shared by every task, system, and variant of the run;
     that cross-task reuse is where most of the ``GuideHits`` come from
     (Duoquest, the NLI baseline, and the ablations score largely
-    identical decisions). Callers must release it with
-    :func:`~repro.guidance.batched.close_guidance` (a no-op for plain
-    models) so a server-backed run closes its socket.
+    identical decisions). The run's :class:`ServiceContext` releases it
+    with :func:`~repro.guidance.batched.close_guidance`, so a
+    server-backed run closes its socket.
     """
     model: GuidanceModel = CalibratedOracleModel(profile=config.profile,
                                                  seed=config.seed)
-    return make_guidance_backend(model, batch=config.guidance_batch,
+    return make_guidance_backend(model,
                                  cache_size=config.guidance_cache_size,
                                  server=config.guidance_server)
 

@@ -273,10 +273,9 @@ def search_report(records: Sequence[SimTaskRecord],
     while ``Evict`` and ``Flushed`` total the entries the LRU bound
     dropped and the evicted entries persisted to the ``--cache-dir``
     store. The two guidance columns
-    measure the batching layer: ``GuideCalls`` is what the underlying
-    model actually scored (equal to the request count when
-    ``--guidance-batch`` is off), ``GuideHits`` what the distribution
-    cache answered instead.
+    measure the batching layer every model runs behind: ``GuideCalls``
+    is what the underlying model actually scored, ``GuideHits`` what
+    the distribution cache answered instead.
     """
     grouped: Dict[Tuple[str, str, str, int], List[Dict[str, object]]] = \
         defaultdict(list)
@@ -284,7 +283,7 @@ def search_report(records: Sequence[SimTaskRecord],
         if record.telemetry is None:
             continue
         key = (record.system, str(record.telemetry.get("engine", "?")),
-               str(record.telemetry.get("verify_backend", "threads")),
+               str(record.telemetry.get("verify_backend", "inline")),
                int(record.telemetry.get("workers", 1)))
         grouped[key].append(record.telemetry)
 

@@ -47,6 +47,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
+from .counters import Counters
 from .errors import ExecutionError
 
 __all__ = [
@@ -61,6 +62,7 @@ __all__ = [
     "uninstall",
     "ensure_installed",
     "injected_total",
+    "book",
     "counters",
 ]
 
@@ -227,6 +229,15 @@ class FaultPlan:
 # The injector
 # ----------------------------------------------------------------------
 
+@dataclass
+class FaultBook(Counters):
+    """Per-point receipts: every injection, and how each one ended."""
+
+    injected: Dict[str, int] = field(default_factory=dict)
+    absorbed: Dict[str, int] = field(default_factory=dict)
+    surfaced: Dict[str, int] = field(default_factory=dict)
+
+
 class FaultInjector:
     """Deterministic, thread-safe fault source for one plan.
 
@@ -243,9 +254,7 @@ class FaultInjector:
         self._calls: Dict[str, int] = {}
         self._fired: Dict[int, int] = {}
         self._rngs: Dict[str, random.Random] = {}
-        self.injected: Dict[str, int] = {}
-        self.absorbed: Dict[str, int] = {}
-        self.surfaced: Dict[str, int] = {}
+        self.book = FaultBook()
 
     def _rng_for(self, point: str) -> random.Random:
         rng = self._rngs.get(point)
@@ -277,27 +286,25 @@ class FaultInjector:
                 if rule.rate < 1.0 and rng.random() >= rule.rate:
                     continue
                 self._fired[index] = fired + 1
-                self.injected[point] = self.injected.get(point, 0) + 1
+                self._tally(self.book.injected, point, 1)
                 return rule
         return None
 
+    @staticmethod
+    def _tally(counts: Dict[str, int], point: str, count: int) -> None:
+        counts[point] = counts.get(point, 0) + count
+
     def note_absorbed(self, point: str, count: int = 1) -> None:
         with self._lock:
-            self.absorbed[point] = self.absorbed.get(point, 0) + count
+            self._tally(self.book.absorbed, point, count)
 
     def note_surfaced(self, point: str, count: int = 1) -> None:
         with self._lock:
-            self.surfaced[point] = self.surfaced.get(point, 0) + count
+            self._tally(self.book.surfaced, point, count)
 
-    def snapshot(self) -> Dict[str, Dict[str, int]]:
+    def snapshot(self) -> FaultBook:
         with self._lock:
-            return {"injected": dict(self.injected),
-                    "absorbed": dict(self.absorbed),
-                    "surfaced": dict(self.surfaced)}
-
-    def injected_total(self) -> int:
-        with self._lock:
-            return sum(self.injected.values())
+            return self.book.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -402,18 +409,20 @@ def ensure_installed(spec: Optional[str]) -> bool:
         return True
 
 
+def book() -> FaultBook:
+    """A snapshot of the active injector's receipts (empty when none)."""
+    local = ACTIVE
+    return local.snapshot() if local is not None else FaultBook()
+
+
 def injected_total() -> int:
     """Injections seen by the active injector (0 when none)."""
-    local = ACTIVE
-    return local.injected_total() if local is not None else 0
+    return sum(book().injected.values())
 
 
 def counters() -> Dict[str, Dict[str, int]]:
-    """Per-point counters of the active injector (for stats surfaces)."""
-    local = ACTIVE
-    if local is None:
-        return {"injected": {}, "absorbed": {}, "surfaced": {}}
-    return local.snapshot()
+    """Per-point receipts of the active injector (for stats surfaces)."""
+    return book().as_dict()
 
 
 def note_absorbed_failure(exc: BaseException) -> None:

@@ -19,7 +19,6 @@ from .batched import (
     ServerGuidanceModel,
     close_guidance,
     make_guidance_backend,
-    parse_server_address,
     request_candidates,
 )
 from .lexical import LexicalGuidanceModel
@@ -49,6 +48,5 @@ __all__ = [
     "close_guidance",
     "make_guidance_backend",
     "module_by_name",
-    "parse_server_address",
     "request_candidates",
 ]

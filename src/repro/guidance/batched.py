@@ -1,48 +1,49 @@
 """Amortised guidance backends: batching wrapper and RPC-style server.
 
-The search subsystem already funnels every expansion round's decisions
-through one :meth:`~repro.guidance.base.GuidanceModel.score_batch`
-call, but the bundled lexical/oracle backends score per request, so the
-batching seam amortised nothing. This module supplies the backends that
-make it pay:
+The search subsystem funnels every expansion round's decisions through
+one :meth:`~repro.guidance.base.GuidanceModel.score_batch` call, but the
+bundled lexical/oracle backends score per request, so the batching seam
+alone amortises nothing. This module supplies the backends that make it
+pay:
 
-* :class:`BatchingGuidanceModel` wraps any guidance model. Within a
-  round it deduplicates identical requests (equal
+* :class:`BatchingGuidanceModel` wraps every guidance model the engine
+  runs. Within a round it deduplicates identical requests (equal
   :meth:`~repro.guidance.base.GuidanceRequest.cache_key`), across
   rounds it memoises distributions in a bounded LRU
-  :class:`GuidanceCache`, and it exposes amortisation counters
+  :class:`GuidanceCache`, and it exposes its counters
   (:class:`AmortisationCounters`) that the search engine folds into
   :class:`~repro.core.search.telemetry.SearchTelemetry` per run. The
   wrapper never changes results: the inner model is deterministic per
   request (the ``GuidanceModel`` contract), so a cached distribution is
   byte-identical to a recomputed one and the candidate stream stays
-  bit-for-bit equal to the unwrapped model (locked in by
-  ``tests/core/test_search_equivalence.py``).
+  bit-for-bit equal to the bare model's (locked in by
+  ``tests/core/test_search_equivalence.py`` and
+  ``tests/guidance/test_batched.py``).
 
 * :class:`ServerGuidanceModel` ships whole request batches to an
-  out-of-process scorer over a newline-delimited-JSON socket protocol
-  (one JSON object per line; see :meth:`ServerGuidanceModel.serialize`
-  for the wire format and ``examples/guidance_server.py`` for a stub
-  server standing in for a neural/RPC scorer). Failures are never
-  silent: the first connection error, timeout, or protocol violation
-  logs a warning, marks the model ``degraded`` (surfaced as
-  ``SearchTelemetry.guidance_degraded``, mirroring the verification
-  pools' ``snapshot_degraded``), and every subsequent request is
-  answered by the local fallback model — results change visibly or not
-  at all.
+  out-of-process scorer over the NDJSON codec of :mod:`repro.wire` (see
+  :meth:`ServerGuidanceModel.serialize` for the request format and
+  ``examples/guidance_server.py`` for a stub server standing in for a
+  neural/RPC scorer). Failures are never silent: the first connection
+  error, timeout, or protocol violation logs a warning, marks the model
+  ``degraded`` (surfaced as ``SearchTelemetry.guidance_degraded``,
+  mirroring the verification pools' ``snapshot_degraded``), and every
+  subsequent request is answered by the local fallback model — results
+  change visibly or not at all.
 
-Wiring happens in :class:`~repro.core.enumerator.Enumerator` (via
-``EnumeratorConfig.guidance_batch`` / ``guidance_server``) and in the
-eval harness, which wraps the oracle once per run so the cache is
-shared across every enumeration of that run (Duoquest, the NLI
-baseline, and the ablation variants re-score largely identical
-decisions).
+:func:`make_guidance_backend` builds the stack. The
+:class:`~repro.core.duoquest.Duoquest` facade, the
+:class:`~repro.core.enumerator.Enumerator`, the eval harness and the
+daemon all call it; it hands an existing wrapper back unchanged, so
+whoever wrapped first owns the backend. The harness wraps the oracle
+once per run, so the cache is shared across every enumeration of that
+run (Duoquest, the NLI baseline, and the ablation variants re-score
+largely identical decisions).
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import socket
 import threading
@@ -51,7 +52,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .. import faults
+from .. import faults, wire
+from ..counters import Counters
 from ..errors import GuidanceError
 from ..faults import RetryPolicy
 from ..sqlir.ast import AggOp, ColumnRef, CompOp, Direction, LogicOp
@@ -76,28 +78,6 @@ DEFAULT_TIMEOUT = 5.0
 #: batch); a server that stays dead exhausts the budget and the model
 #: degrades permanently, exactly like the pre-reconnect behaviour.
 DEFAULT_MAX_RECONNECTS = 3
-
-
-class ProtocolMismatch(GuidanceError):
-    """The server answered the handshake with a different protocol
-    version. Reconnecting cannot fix an incompatibility, so this error
-    degrades permanently regardless of the reconnect budget."""
-
-
-def parse_server_address(address: str) -> Tuple[str, int]:
-    """Validate and split a ``HOST:PORT`` guidance-server address.
-
-    The single authority on the accepted format — both the
-    ``EnumeratorConfig`` boundary and :class:`ServerGuidanceModel` call
-    this, so the config can never accept an address the backend would
-    reject.
-    """
-    host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise GuidanceError(
-            f"guidance server address must be HOST:PORT "
-            f"(got {address!r})")
-    return host, int(port)
 
 
 def request_candidates(request: GuidanceRequest) -> List[object]:
@@ -130,37 +110,27 @@ def request_candidates(request: GuidanceRequest) -> List[object]:
 
 
 @dataclass
-class AmortisationCounters:
+class AmortisationCounters(Counters):
     """What the batching layer saved, as running totals.
 
     The search engine snapshots these at run start and records the
     per-run deltas into telemetry (the same delta discipline the shared
     probe cache uses), so a wrapper shared across tasks never
-    attributes one task's traffic to another.
+    attributes one task's traffic to another. Fields carry their
+    telemetry names.
     """
 
     #: requests entering the wrapper (scheduler batches + per-call)
-    requests_in: int = 0
+    guide_requests: int = 0
     #: requests actually scored by the inner model (post-dedup, post-cache)
-    unique_scored: int = 0
+    guide_calls: int = 0
     #: requests answered from the distribution cache
-    cache_hits: int = 0
+    guide_hits: int = 0
     #: inner-model invocations (batched round trips + per-call misses)
-    batch_calls: int = 0
-
-    def copy(self) -> "AmortisationCounters":
-        return AmortisationCounters(requests_in=self.requests_in,
-                                    unique_scored=self.unique_scored,
-                                    cache_hits=self.cache_hits,
-                                    batch_calls=self.batch_calls)
-
-    def delta_since(self, earlier: "AmortisationCounters"
-                    ) -> "AmortisationCounters":
-        return AmortisationCounters(
-            requests_in=self.requests_in - earlier.requests_in,
-            unique_scored=self.unique_scored - earlier.unique_scored,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            batch_calls=self.batch_calls - earlier.batch_calls)
+    guide_batch_calls: int = 0
+    #: successful reconnects of a server backend (the inner model's
+    #: running total, refreshed at every scorer switch)
+    guidance_reconnects: int = 0
 
 
 class GuidanceCache:
@@ -325,10 +295,6 @@ class BatchingGuidanceModel(_RequestScoringModel):
     def degrade_reason(self) -> str:
         return str(getattr(self.inner, "degrade_reason", ""))
 
-    @property
-    def reconnects(self) -> int:
-        return int(getattr(self.inner, "reconnects", 0))
-
     def close(self) -> None:
         close_guidance(self.inner)
 
@@ -340,7 +306,8 @@ class BatchingGuidanceModel(_RequestScoringModel):
         the previous scorer's cached distributions afterwards would mix
         scorers indefinitely. The server backend counts switches in
         ``scorer_epoch``; models without one flush once on a permanent
-        degrade (the legacy behaviour).
+        degrade (the legacy behaviour). Every reconnect is such a
+        switch, so the reconnect counter is refreshed here too.
         """
         epoch = getattr(self.inner, "scorer_epoch", None)
         if epoch is None:
@@ -348,18 +315,20 @@ class BatchingGuidanceModel(_RequestScoringModel):
         if epoch != self._scorer_epoch:
             self._scorer_epoch = epoch
             self.cache.clear()
+            self.counters.guidance_reconnects = int(
+                getattr(self.inner, "reconnects", 0))
 
     def _score_request(self, request: GuidanceRequest) -> Distribution:
         self._flush_on_degrade()
         counters = self.counters
-        counters.requests_in += 1
+        counters.guide_requests += 1
         key = self._request_key(request)
         cached = self.cache.get(key)
         if cached is not None:
-            counters.cache_hits += 1
+            counters.guide_hits += 1
             return cached
-        counters.unique_scored += 1
-        counters.batch_calls += 1
+        counters.guide_calls += 1
+        counters.guide_batch_calls += 1
         distribution = request.invoke(self.inner)
         # The degrade may have happened during this very call; flush
         # before caching so the entry stored below is the fallback's.
@@ -371,7 +340,7 @@ class BatchingGuidanceModel(_RequestScoringModel):
                     ) -> List[Distribution]:
         self._flush_on_degrade()
         counters = self.counters
-        counters.requests_in += len(requests)
+        counters.guide_requests += len(requests)
         results: List[Optional[Distribution]] = [None] * len(requests)
         #: key -> positions awaiting that key's distribution, in
         #: first-occurrence order (dedup within the round)
@@ -382,22 +351,22 @@ class BatchingGuidanceModel(_RequestScoringModel):
             if positions is not None:
                 # An in-batch duplicate: it will be served from the
                 # first occurrence's distribution, so it counts as a
-                # hit — keeping requests_in == unique_scored +
-                # cache_hits, which the telemetry columns rely on.
+                # hit — keeping guide_requests == guide_calls +
+                # guide_hits, which the telemetry columns rely on.
                 positions.append(position)
-                counters.cache_hits += 1
+                counters.guide_hits += 1
                 continue
             cached = self.cache.get(key)
             if cached is not None:
-                counters.cache_hits += 1
+                counters.guide_hits += 1
                 results[position] = cached
             else:
                 fresh[key] = [position]
         if fresh:
             unique = [requests[positions[0]]
                       for positions in fresh.values()]
-            counters.unique_scored += len(unique)
-            counters.batch_calls += 1
+            counters.guide_calls += len(unique)
+            counters.guide_batch_calls += 1
             distributions = self.inner.score_batch(unique)
             if len(distributions) != len(unique):
                 raise GuidanceError(
@@ -419,8 +388,8 @@ class BatchingGuidanceModel(_RequestScoringModel):
 class ServerGuidanceModel(_RequestScoringModel):
     """Scores request batches on an out-of-process scorer.
 
-    Protocol (newline-delimited JSON over a TCP socket, one object per
-    line; ``examples/guidance_server.py`` implements the other end):
+    Protocol (the NDJSON codec of :mod:`repro.wire` over a TCP socket;
+    ``examples/guidance_server.py`` implements the other end):
 
     request::
 
@@ -455,14 +424,12 @@ class ServerGuidanceModel(_RequestScoringModel):
     :attr:`scorer_epoch`, which the batching wrapper watches to flush
     its distribution cache, so cached answers never mix scorers.
 
-    On every (re)connect the client performs a **handshake**: it sends
-    ``{"v": 1, "id": N, "hello": true}`` and expects
-    ``{"id": N, "v": 1}`` back; a server advertising a different
+    On every (re)connect the client performs the :mod:`repro.wire`
+    **handshake**: it sends ``{"v": 1, "id": N, "hello": true}`` and
+    expects ``{"id": N, "v": 1}`` back; a server advertising a different
     protocol version is rejected up front instead of mis-parsing score
     traffic later.
     """
-
-    PROTOCOL_VERSION = 1
 
     #: Backoff between reconnect attempts. Reconnects used to fire
     #: back-to-back — three attempts burned in microseconds against a
@@ -476,7 +443,7 @@ class ServerGuidanceModel(_RequestScoringModel):
                  timeout: float = DEFAULT_TIMEOUT,
                  max_reconnects: int = DEFAULT_MAX_RECONNECTS):
         self.address = address
-        self.host, self.port = parse_server_address(address)
+        self.host, self.port = wire.parse_address(address)
         self.fallback = fallback
         self.timeout = timeout
         self.name = f"server({address})"
@@ -549,7 +516,7 @@ class ServerGuidanceModel(_RequestScoringModel):
         try:
             with self._lock:
                 self._ensure_connection()
-        except ProtocolMismatch as exc:
+        except wire.ProtocolMismatch as exc:
             self.close()
             self._give_up(str(exc))
             return False
@@ -592,37 +559,16 @@ class ServerGuidanceModel(_RequestScoringModel):
                                             timeout=self.timeout)
             sock.settimeout(self.timeout)
             self._sock = sock
-            self._reader = sock.makefile("r", encoding="utf-8")
-            self._handshake()
+            self._reader = sock.makefile("rb")
+            request_id = next(self._ids)
+            sock.sendall(wire.encode(wire.hello_request(request_id)))
+            wire.check_hello_reply(self._read_line(), request_id)
 
-    def _handshake(self) -> None:
-        """Exchange protocol versions on a fresh connection.
-
-        Raises :class:`ProtocolMismatch` when the server speaks a
-        different version — a permanent condition — and the usual
-        OSError/ValueError family for transport or format failures.
-        """
-        request_id = next(self._ids)
-        line = json.dumps({"v": self.PROTOCOL_VERSION, "id": request_id,
-                           "hello": True}) + "\n"
-        assert self._sock is not None
-        self._sock.sendall(line.encode("utf-8"))
-        response = self._reader.readline()
-        if not response:
-            raise OSError("server closed the connection during handshake")
-        payload = json.loads(response)
-        if payload.get("id") != request_id:
-            raise GuidanceError(
-                f"handshake response id {payload.get('id')!r} does not "
-                f"match request id {request_id}")
-        version = payload.get("v")
-        if version != self.PROTOCOL_VERSION:
-            hint = " (a server without handshake support predates " \
-                   "this client; upgrade it to one that answers " \
-                   "'hello' lines)" if version is None else ""
-            raise ProtocolMismatch(
-                f"server speaks protocol {version!r}, this client "
-                f"speaks {self.PROTOCOL_VERSION}{hint}")
+    def _read_line(self) -> Dict[str, object]:
+        line = self._reader.readline()
+        if not line:
+            raise OSError("server closed the connection")
+        return wire.decode(line)
 
     # ------------------------------------------------------------------
     # Wire format
@@ -665,7 +611,7 @@ class ServerGuidanceModel(_RequestScoringModel):
                  for request, candidates in zip(requests, candidate_lists)])
             return [self._distribution(candidates, weights)
                     for candidates, weights in zip(candidate_lists, scores)]
-        except ProtocolMismatch as exc:
+        except wire.ProtocolMismatch as exc:
             # A version-incompatible peer: no reconnect can fix it, so
             # forfeit the budget and degrade for good.
             self._give_up(str(exc))
@@ -688,15 +634,11 @@ class ServerGuidanceModel(_RequestScoringModel):
             if injector is not None:
                 faults.fire_guidance_transport(injector)
             request_id = next(self._ids)
-            line = json.dumps({"v": self.PROTOCOL_VERSION,
-                               "id": request_id,
-                               "requests": serialized}) + "\n"
             assert self._sock is not None
-            self._sock.sendall(line.encode("utf-8"))
-            response = self._reader.readline()
-        if not response:
-            raise OSError("server closed the connection")
-        payload = json.loads(response)
+            self._sock.sendall(wire.encode({"v": wire.PROTOCOL_VERSION,
+                                            "id": request_id,
+                                            "requests": serialized}))
+            payload = self._read_line()
         if payload.get("id") != request_id:
             raise GuidanceError(
                 f"response id {payload.get('id')!r} does not match "
@@ -724,28 +666,26 @@ class ServerGuidanceModel(_RequestScoringModel):
         return Distribution.from_scores(list(zip(candidates, numeric)))
 
 
-def make_guidance_backend(model: GuidanceModel, *, batch: bool = False,
+def make_guidance_backend(model: GuidanceModel, *,
                           cache_size: int = DEFAULT_CACHE_SIZE,
                           server: Optional[str] = None,
                           timeout: float = DEFAULT_TIMEOUT,
                           max_reconnects: int = DEFAULT_MAX_RECONNECTS
-                          ) -> GuidanceModel:
-    """Wrap ``model`` per the guidance-backend configuration.
+                          ) -> BatchingGuidanceModel:
+    """Serve ``model`` through a :class:`BatchingGuidanceModel`.
 
-    ``server`` interposes a :class:`ServerGuidanceModel` (with ``model``
-    as its degrade fallback, and ``max_reconnects`` bounding its
-    self-heal attempts) and implies batching — shipping one request per
-    round trip would defeat the point. Returns ``model`` unchanged when
-    nothing is enabled, so callers can apply this unconditionally.
+    ``server`` interposes a :class:`ServerGuidanceModel` under the
+    wrapper (with ``model`` as its degrade fallback, and
+    ``max_reconnects`` bounding its self-heal attempts). A model that
+    is already wrapped comes back unchanged — its wrapper's owner chose
+    the backend — so every layer can apply this unconditionally.
     """
-    wrapped = model
+    if isinstance(model, BatchingGuidanceModel):
+        return model
     if server:
-        wrapped = ServerGuidanceModel(server, fallback=wrapped,
-                                      timeout=timeout,
-                                      max_reconnects=max_reconnects)
-    if batch or server:
-        wrapped = BatchingGuidanceModel(wrapped, cache_size=cache_size)
-    return wrapped
+        model = ServerGuidanceModel(server, fallback=model, timeout=timeout,
+                                    max_reconnects=max_reconnects)
+    return BatchingGuidanceModel(model, cache_size=cache_size)
 
 
 def close_guidance(model: GuidanceModel) -> None:

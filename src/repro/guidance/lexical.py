@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..nlq.linking import LinkScores, link_schema
 from ..nlq.literals import NLQuery
@@ -75,13 +75,16 @@ def _phrase_tokens(phrase: str) -> Tuple[str, ...]:
 
 class _NLQState:
     """What the model keeps per NLQ text: its tokens, and its links to
-    each schema it was asked about."""
+    each schema it was asked about, per set of literal types (linking
+    favours columns of a tagged literal's type, and the same text may
+    arrive with different literals)."""
 
     __slots__ = ("tokens", "links")
 
     def __init__(self, text: str):
         self.tokens = tuple(tokenize(text))
-        self.links: Dict[str, LinkScores] = {}
+        self.links: Dict[Tuple[str, FrozenSet[ColumnType]],
+                         LinkScores] = {}
 
 
 class LexicalGuidanceModel(GuidanceModel):
@@ -142,11 +145,13 @@ class LexicalGuidanceModel(GuidanceModel):
             return self._state(nlq).tokens
 
     def _links(self, ctx: GuidanceContext) -> LinkScores:
+        key = (ctx.schema.name,
+               frozenset(lit.type for lit in ctx.nlq.literals))
         with self._lock:
             links = self._state(ctx.nlq).links
-            if ctx.schema.name not in links:
-                links[ctx.schema.name] = link_schema(ctx.nlq, ctx.schema)
-            return links[ctx.schema.name]
+            if key not in links:
+                links[key] = link_schema(ctx.nlq, ctx.schema)
+            return links[key]
 
     @staticmethod
     def _has_any(tokens: Tuple[str, ...], phrases: Sequence[str]) -> bool:

@@ -185,10 +185,11 @@ class SessionCore:
             # daemon, so the delta is this enumeration's own traffic;
             # in a genuinely concurrent setup the check is merely
             # conservative (it can only stop early, never late).
-            misses_at_start = cache.misses
+            counters = cache.counters
+            misses_at_start = counters.probe_misses
 
             def over_probe_budget() -> Optional[str]:
-                if cache.misses - misses_at_start >= probe_room:
+                if counters.probe_misses - misses_at_start >= probe_room:
                     return (f"session probe budget exhausted "
                             f"({self.max_probes})")
                 return None

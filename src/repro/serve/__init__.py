@@ -6,19 +6,15 @@
 * :mod:`repro.serve.daemon` — the asyncio NDJSON/TCP session daemon
   behind ``duoquest serve``.
 * :mod:`repro.serve.client` — a stdlib-only client.
-* :mod:`repro.serve.protocol` — the wire protocol both sides share.
+* :mod:`repro.serve.protocol` — the daemon's verbs over the shared
+  :mod:`repro.wire` codec.
 """
 
 from .client import ServeRequestError, SynthesisClient
 from .context import ProbeCacheRegistry, ServiceContext
 from .daemon import DaemonHandle, SynthesisDaemon, spawn_daemon
-from .protocol import (
-    PROTOCOL_VERSION,
-    SERVER_NAME,
-    VERBS,
-    ProtocolError,
-    ProtocolMismatch,
-)
+from .protocol import SERVER_NAME, VERBS
+from ..wire import PROTOCOL_VERSION, ProtocolError, ProtocolMismatch
 
 __all__ = [
     "DaemonHandle",

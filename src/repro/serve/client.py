@@ -1,9 +1,9 @@
 """Stdlib-only client for the synthesis daemon.
 
-Speaks the NDJSON protocol of :mod:`repro.serve.protocol` over a plain
-``socket`` — no dependency on the rest of the package, so it can be
-vendored into a notebook or an application that only wants to *talk* to
-a ``duoquest serve`` daemon::
+Speaks the NDJSON protocol of :mod:`repro.serve.protocol` (lines coded
+by :mod:`repro.wire`) over a plain ``socket`` — both modules are
+stdlib-only, so the three can be vendored into a notebook or an
+application that only wants to *talk* to a ``duoquest serve`` daemon::
 
     from repro.serve.client import SynthesisClient
 
@@ -16,7 +16,7 @@ a ``duoquest serve`` daemon::
 
 Every method performs one request/response exchange; the connection
 handshakes (and verifies the protocol version) at construction, raising
-:class:`~repro.serve.protocol.ProtocolMismatch` against an incompatible
+:class:`~repro.wire.ProtocolMismatch` against an incompatible
 server. Server-side failures surface as :class:`ServeRequestError` with
 the server's message — the connection stays usable.
 """
@@ -26,6 +26,7 @@ from __future__ import annotations
 import socket
 from typing import Dict, Optional, Sequence
 
+from .. import wire
 from . import protocol
 
 
@@ -53,27 +54,27 @@ class SynthesisClient:
     # ------------------------------------------------------------------
     def _exchange(self, payload: Dict[str, object]) -> Dict[str, object]:
         self._request_seq += 1
-        payload = dict(payload, v=protocol.PROTOCOL_VERSION,
+        payload = dict(payload, v=wire.PROTOCOL_VERSION,
                        id=self._request_seq)
-        self._file.write(protocol.encode(payload))
+        self._file.write(wire.encode(payload))
         self._file.flush()
         line = self._file.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        response = protocol.decode(line)
+        response = wire.decode(line)
         if "error" in response:
             raise ServeRequestError(str(response["error"]))
         return response
 
     def _handshake(self) -> int:
-        self._file.write(protocol.encode(protocol.hello_request()))
+        self._file.write(wire.encode(wire.hello_request()))
         self._file.flush()
         line = self._file.readline()
         if not line:
             raise ConnectionError(
                 "server closed the connection during the handshake")
-        reply = protocol.decode(line)
-        protocol.check_hello_reply(reply)
+        reply = wire.decode(line)
+        wire.check_hello_reply(reply)
         return int(reply.get("epoch", 0))
 
     # ------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional
 from collections import OrderedDict
 
 from ..core.search import PersistentProbeCache, PoolManager
-from ..core.verifier import SharedProbeCache
+from ..core.verifier import ProbeCacheCounters, SharedProbeCache
 from ..db.database import Database
 from ..guidance.base import GuidanceModel
 from ..guidance.batched import close_guidance
@@ -132,11 +132,7 @@ class ProbeCacheRegistry:
         #: never makes :meth:`counters` go backwards (a soak's
         #: ``warm_start_probe_hits`` / ``evicted_flushed`` must survive
         #: the caches that earned them)
-        self._retired_totals: Dict[str, int] = {
-            "probe_hits": 0, "probe_misses": 0,
-            "cross_task_probe_hits": 0, "warm_start_probe_hits": 0,
-            "probe_cache_evictions": 0, "evicted_flushed": 0,
-        }
+        self._retired_totals = ProbeCacheCounters()
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -185,15 +181,8 @@ class ProbeCacheRegistry:
         saved = 0
         for entry in entries:
             saved += bool(self._persist_entry(entry))
-            cache = entry.cache
             with self._lock:
-                totals = self._retired_totals
-                totals["probe_hits"] += cache.hits
-                totals["probe_misses"] += cache.misses
-                totals["cross_task_probe_hits"] += cache.cross_task_hits
-                totals["warm_start_probe_hits"] += cache.warm_start_hits
-                totals["probe_cache_evictions"] += cache.evictions
-                totals["evicted_flushed"] += cache.evicted_flushed
+                self._retired_totals.absorb(entry.cache.counters)
         return saved
 
     def _fresh_entry_locked(self, db: Database) -> _CacheEntry:
@@ -350,23 +339,14 @@ class ProbeCacheRegistry:
         self._reap()
         with self._lock:
             caches = [entry.cache for entry in self._caches.values()]
-            totals = dict(self._retired_totals)
+            totals = self._retired_totals.snapshot()
+        for cache in caches:
+            totals.absorb(cache.counters)
         return {
             "databases": len(caches),
-            "probe_hits": totals["probe_hits"]
-            + sum(c.hits for c in caches),
-            "probe_misses": totals["probe_misses"]
-            + sum(c.misses for c in caches),
-            "cross_task_probe_hits": totals["cross_task_probe_hits"]
-            + sum(c.cross_task_hits for c in caches),
-            "warm_start_probe_hits": totals["warm_start_probe_hits"]
-            + sum(c.warm_start_hits for c in caches),
+            **totals.as_dict(),
             "warm_entries_loaded": self.warm_entries_loaded,
             "probe_cache_entries": sum(len(c) for c in caches),
-            "probe_cache_evictions": totals["probe_cache_evictions"]
-            + sum(c.evictions for c in caches),
-            "evicted_flushed": totals["evicted_flushed"]
-            + sum(c.evicted_flushed for c in caches),
             "probe_cache_bytes": sum(c.approx_bytes() for c in caches),
             "caches_retired": self.caches_retired,
         }
@@ -380,8 +360,8 @@ class ServiceContext:
     shared guidance model — a harness run, or a daemon lifetime. The
     context owns all three: :meth:`close` retires the caches, shuts
     every warm pool down, and releases the guidance model via
-    :func:`~repro.guidance.batched.close_guidance` (a no-op for plain
-    models, socket close for server-backed ones).
+    :func:`~repro.guidance.batched.close_guidance` (a socket close for
+    a server-backed wrapper).
     """
 
     def __init__(self, guidance: Optional[GuidanceModel] = None, *,

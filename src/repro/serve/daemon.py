@@ -6,7 +6,8 @@ the per-database probe caches (disk-persistable via ``--cache-dir``),
 one :class:`~repro.core.search.PoolManager` with warm thread pools, and
 one shared batching guidance model — and serves concurrent synthesis /
 TSQ-refinement sessions over many databases on top of it, speaking the
-NDJSON protocol of :mod:`repro.serve.protocol`.
+NDJSON protocol of :mod:`repro.serve.protocol` (lines coded by
+:mod:`repro.wire`).
 
 Concurrency model:
 
@@ -64,6 +65,7 @@ from ..interaction.session import (
 )
 from ..nlq.literals import NLQuery
 from ..sqlir.render import to_sql
+from .. import wire
 from . import protocol
 from .context import ServiceContext
 
@@ -96,8 +98,9 @@ class SynthesisDaemon:
     forks each one (snapshot + rehydrate) so the served connections are
     thread-hoppable — construct the daemon in the thread that built the
     databases. ``config`` applies to every session; the default
-    verifies inline and batches guidance, so the shared distribution
-    cache engages. Worker threads are opt-in (a config with
+    verifies inline. Every session shares one batching guidance
+    wrapper, so its distribution cache amortises across sessions.
+    Worker threads are opt-in (a config with
     ``workers > 1``): verification's CPU-bound stages serialise on the
     GIL, and on the hosts measured so far (one and two CPUs) each
     round's hand-off to the threads cost more than it overlapped.
@@ -132,11 +135,9 @@ class SynthesisDaemon:
             raise ValueError("the daemon needs at least one database")
         self.config = config or EnumeratorConfig(max_candidates=200,
                                                  time_budget=30.0,
-                                                 workers=1,
-                                                 guidance_batch=True)
+                                                 workers=1)
         guidance = make_guidance_backend(
             model or LexicalGuidanceModel(),
-            batch=self.config.guidance_batch,
             cache_size=self.config.guidance_cache_size,
             server=self.config.guidance_server)
         self.context = ServiceContext(
@@ -294,7 +295,7 @@ class SynthesisDaemon:
         error; the caller then closes the connection."""
         self.oversized_lines += 1
         self.protocol_errors += 1
-        writer.write(protocol.encode(protocol.error_response(
+        writer.write(wire.encode(protocol.error_response(
             None, f"request line exceeds {self.MAX_LINE_BYTES} bytes; "
             "closing connection")))
         try:
@@ -339,16 +340,16 @@ class SynthesisDaemon:
                 return
             request_id: object = None
             try:
-                payload = protocol.decode(line.strip())
+                payload = wire.decode(line.strip())
                 request_id = payload.get("id")
                 protocol.check_hello(payload)
-            except protocol.ProtocolError as exc:
+            except wire.ProtocolError as exc:
                 self.protocol_errors += 1
-                writer.write(protocol.encode(
+                writer.write(wire.encode(
                     protocol.error_response(request_id, str(exc))))
                 await writer.drain()
                 return
-            writer.write(protocol.encode(
+            writer.write(wire.encode(
                 protocol.hello_response(request_id, self.epoch)))
             await writer.drain()
             while self._stop is not None and not self._stop.is_set():
@@ -373,11 +374,11 @@ class SynthesisDaemon:
                         "mid-verb")
                 request_id = None
                 try:
-                    payload = protocol.decode(line)
+                    payload = wire.decode(line)
                     request_id = payload.get("id")
                     verb = protocol.validate_verb(payload)
                     response = await self._dispatch(verb, payload)
-                except protocol.ProtocolError as exc:
+                except wire.ProtocolError as exc:
                     self.protocol_errors += 1
                     response = protocol.error_response(request_id,
                                                        str(exc))
@@ -387,7 +388,7 @@ class SynthesisDaemon:
                     response = protocol.error_response(
                         request_id, f"{type(exc).__name__}: {exc}")
                 response["id"] = request_id
-                writer.write(protocol.encode(response))
+                writer.write(wire.encode(response))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -420,10 +421,10 @@ class SynthesisDaemon:
             retired_state = self._retired.get(session_id)
         if session is None:
             if retired_state is not None:
-                raise protocol.ProtocolError(
+                raise wire.ProtocolError(
                     f"session {session_id!r} was retired "
                     f"(final state {retired_state!r})")
-            raise protocol.ProtocolError(
+            raise wire.ProtocolError(
                 f"unknown session {session_id!r}")
         return session
 
@@ -465,7 +466,7 @@ class SynthesisDaemon:
                       ) -> Dict[str, object]:
         name = str(protocol.require(payload, "database", "create"))
         if name not in self.databases:
-            raise protocol.ProtocolError(
+            raise wire.ProtocolError(
                 f"unknown database {name!r}; serving "
                 f"{sorted(self.databases)}")
         nlq_text = str(protocol.require(payload, "nlq", "create"))
@@ -489,7 +490,7 @@ class SynthesisDaemon:
             session_id = str(payload.get("session")
                              or f"s{next(self._session_seq)}")
             if session_id in self._sessions:
-                raise protocol.ProtocolError(
+                raise wire.ProtocolError(
                     f"session {session_id!r} already exists")
             session = _Session(session_id, name,
                                SessionCore(system, session_id=session_id,
@@ -558,7 +559,7 @@ class SynthesisDaemon:
             async with self._admission:
                 async with self._db_locks[session.database]:
                     if self._stop.is_set():
-                        raise protocol.ProtocolError(
+                        raise wire.ProtocolError(
                             "server shutting down")
                     result = await self._loop.run_in_executor(
                         self._executor, call)
@@ -626,7 +627,7 @@ class SynthesisDaemon:
                 by_state[state] = by_state.get(state, 0) + 1
             snapshot: Dict[str, object] = {
                 "server": protocol.SERVER_NAME,
-                "v": protocol.PROTOCOL_VERSION,
+                "v": wire.PROTOCOL_VERSION,
                 "epoch": self.epoch,
                 "degrade_reason": self.degrade_reason,
                 "databases": sorted(self.databases),

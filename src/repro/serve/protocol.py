@@ -1,9 +1,9 @@
-"""Wire protocol of the synthesis daemon (NDJSON over TCP).
+"""The synthesis daemon's protocol: verbs over the shared NDJSON codec.
 
-One JSON object per line in either direction, mirroring the
-guidance-server idiom (``repro.guidance.batched.ServerGuidanceModel``):
-the first line of every connection is a ``hello`` version handshake, and
-a version-incompatible peer is rejected up front instead of mis-parsed::
+Lines are encoded, decoded and handshaken by :mod:`repro.wire`, the
+codec the guidance scorer's protocol uses too. The first line of every
+connection is the ``hello`` handshake; the daemon's reply also carries
+its name and its degrade ``epoch``::
 
     -> {"v": 1, "id": 0, "hello": true}
     <- {"id": 0, "v": 1, "server": "duoquest-serve", "epoch": 0}
@@ -31,55 +31,26 @@ round response, and ``stats``) bumps whenever a session's enumeration
 degraded (pool snapshot failure, guidance fallback), so clients can
 detect that the service switched execution mode mid-stream.
 
-This module is shared by the asyncio server (:mod:`repro.serve.daemon`)
-and the stdlib-only client (:mod:`repro.serve.client`); it depends on
-nothing outside the standard library.
+This module holds what only the daemon speaks: the verbs, the
+server-side hello, and the TSQ payload helper. It depends on nothing
+outside the standard library and :mod:`repro.wire`.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, Optional
 
-PROTOCOL_VERSION = 1
+from ..wire import PROTOCOL_VERSION, ProtocolError, ProtocolMismatch
+
 SERVER_NAME = "duoquest-serve"
 
 #: The request verbs the daemon understands.
 VERBS = ("create", "refine", "status", "cancel", "stats")
 
 
-class ProtocolError(Exception):
-    """A malformed or unanswerable request line."""
-
-
-class ProtocolMismatch(ProtocolError):
-    """The peer speaks a different protocol version."""
-
-
-def encode(payload: Dict[str, object]) -> bytes:
-    """One NDJSON line, ready to write."""
-    return (json.dumps(payload) + "\n").encode("utf-8")
-
-
-def decode(line: bytes) -> Dict[str, object]:
-    """Parse one NDJSON line; raises :class:`ProtocolError` on garbage."""
-    try:
-        payload = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"malformed request line: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError(
-            f"request line must be a JSON object, got {type(payload).__name__}")
-    return payload
-
-
 # ----------------------------------------------------------------------
-# Handshake
+# Handshake (server side; the client side is repro.wire's)
 # ----------------------------------------------------------------------
-def hello_request(request_id: int = 0) -> Dict[str, object]:
-    return {"v": PROTOCOL_VERSION, "id": request_id, "hello": True}
-
-
 def hello_response(request_id: object, epoch: int) -> Dict[str, object]:
     return {"id": request_id, "v": PROTOCOL_VERSION,
             "server": SERVER_NAME, "epoch": epoch}
@@ -97,35 +68,8 @@ def check_hello(payload: Dict[str, object]) -> None:
             f"server speaks {PROTOCOL_VERSION}")
 
 
-def check_hello_reply(payload: Dict[str, object]) -> None:
-    """Validate the server's handshake reply (client side)."""
-    if "error" in payload:
-        raise ProtocolMismatch(str(payload["error"]))
-    version = payload.get("v")
-    if version != PROTOCOL_VERSION:
-        raise ProtocolMismatch(
-            f"protocol version mismatch: server speaks {version!r}, "
-            f"client speaks {PROTOCOL_VERSION}")
-
-
 def error_response(request_id: object, message: str) -> Dict[str, object]:
     return {"id": request_id, "error": message}
-
-
-def parse_address(address: str) -> tuple:
-    """``HOST:PORT`` -> ``(host, port)``; raises ``ValueError``."""
-    host, sep, port_text = address.rpartition(":")
-    if not sep or not host:
-        raise ValueError(
-            f"serve address must be HOST:PORT, got {address!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ValueError(f"serve port must be an integer, got "
-                         f"{port_text!r}") from None
-    if not 0 <= port <= 65535:
-        raise ValueError(f"serve port out of range: {port}")
-    return host, port
 
 
 # ----------------------------------------------------------------------

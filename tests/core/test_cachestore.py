@@ -199,8 +199,8 @@ class TestRoundTrip:
 
         verifier.verify(parse_sql(
             "SELECT title FROM movie WHERE year < 1995", movie_db.schema))
-        assert warm.warm_start_hits > 0
-        assert warm.misses == 0
+        assert warm.counters.warm_start_probe_hits > 0
+        assert warm.counters.probe_misses == 0
 
     def test_missing_store_is_silent_cold_start(self, tmp_path, movie_db,
                                                 caplog):

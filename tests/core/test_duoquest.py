@@ -94,9 +94,9 @@ class TestSoundness:
 
 
 class TestGuidanceBackendOwnership:
-    """The facade owns a guidance backend it creates (and only that):
-    one wrapper per system, shared across synthesize() calls, released
-    by close()."""
+    """The facade builds the guidance backend (one wrapper per system,
+    shared across synthesize() calls) and close() releases only a
+    server backend it created, never a model the caller passed in."""
 
     def test_facade_wraps_once_and_reuses_across_synthesize(self,
                                                             movie_db):
@@ -104,8 +104,7 @@ class TestGuidanceBackendOwnership:
 
         with Duoquest(movie_db, model=CalibratedOracleModel(seed=0),
                       config=EnumeratorConfig(
-                          time_budget=5.0, max_candidates=5,
-                          guidance_batch=True)) as system:
+                          time_budget=5.0, max_candidates=5)) as system:
             assert isinstance(system.model, BatchingGuidanceModel)
             nlq = NLQuery.from_text("movies before 1995",
                                     literals=[1995])
@@ -127,15 +126,25 @@ class TestGuidanceBackendOwnership:
                 closed.append(True)
                 super().close()
 
+        class CloseableOracle(CalibratedOracleModel):
+            def close(self):
+                closed.append(True)
+
         # Caller-wrapped model: the facade must not close it.
         shared = Closeable(CalibratedOracleModel(seed=0))
-        Duoquest(movie_db, model=shared,
-                 config=EnumeratorConfig(guidance_batch=True)).close()
+        system = Duoquest(movie_db, model=shared)
+        assert system.model is shared
+        system.close()
         assert not closed
 
-        # Facade-created wrapper: close() must release it.
+        # A bare caller model behind the facade's wrapper stays open.
+        Duoquest(movie_db, model=CloseableOracle(seed=0)).close()
+        assert not closed
+
+        # Facade-created server backend: close() must release it.
         system = Duoquest(movie_db, model=CalibratedOracleModel(seed=0),
-                          config=EnumeratorConfig(guidance_batch=True))
+                          config=EnumeratorConfig(
+                              guidance_server="127.0.0.1:1"))
         monkey_closed = []
         system.model.close = lambda: monkey_closed.append(True)
         system.close()

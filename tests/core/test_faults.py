@@ -152,7 +152,7 @@ class TestInjectorDeterminism:
                  for _ in range(10)]
         assert draws == [False, False, True, True, True,
                          False, False, False, False, False]
-        assert injector.injected == {"db.execute": 3}
+        assert injector.book.injected == {"db.execute": 3}
 
     def test_points_draw_independently(self):
         plan = FaultPlan.parse(
@@ -174,9 +174,9 @@ class TestDatabaseExecuteHardening:
         rows = db.execute("SELECT COUNT(*) FROM movie")
         assert rows == [(40,)]
         assert db.stats.retries == 2
-        assert injector.injected == {"db.execute": 2}
-        assert injector.absorbed == {"db.execute": 2}
-        assert injector.surfaced == {}
+        assert injector.book.injected == {"db.execute": 2}
+        assert injector.book.absorbed == {"db.execute": 2}
+        assert injector.book.surfaced == {}
 
     def test_exhausted_retries_surface_a_transient_error(self, db):
         injector = faults.install("db.execute:error")
@@ -185,17 +185,17 @@ class TestDatabaseExecuteHardening:
         assert faults.is_transient(excinfo.value)
         # attempts=3: the injection fired on every try; two were
         # absorbed by retries, the third surfaced.
-        assert injector.injected == {"db.execute": 3}
-        assert injector.absorbed == {"db.execute": 2}
-        assert injector.surfaced == {"db.execute": 1}
+        assert injector.book.injected == {"db.execute": 3}
+        assert injector.book.absorbed == {"db.execute": 2}
+        assert injector.book.surfaced == {"db.execute": 1}
 
     def test_timeout_mode_surfaces_as_execution_timeout(self, db):
         injector = faults.install("db.execute:timeout:times=1")
         with pytest.raises(ExecutionTimeout):
             with db.interruptible(250):
                 db.execute("SELECT COUNT(*) FROM movie")
-        assert injector.injected == {"db.execute": 1}
-        assert injector.surfaced == {"db.execute": 1}
+        assert injector.book.injected == {"db.execute": 1}
+        assert injector.book.surfaced == {"db.execute": 1}
 
     def test_disabled_injector_leaves_execute_untouched(self, db):
         rows = db.execute("SELECT COUNT(*) FROM movie")
@@ -237,15 +237,15 @@ class TestCachestoreHardening:
         injector = faults.install("cachestore.load:busy:times=1")
         entries = store.load(db)
         assert entries is not None and entries[0]
-        assert injector.injected == {"cachestore.load": 1}
-        assert injector.absorbed == {"cachestore.load": 1}
+        assert injector.book.injected == {"cachestore.load": 1}
+        assert injector.book.absorbed == {"cachestore.load": 1}
 
     def test_injected_corrupt_load_cold_starts(self, tmp_path, db,
                                                caplog):
         store = self.seed_store(tmp_path, db)
         injector = faults.install("cachestore.load:corrupt:times=1")
         assert store.load(db) is None
-        assert injector.surfaced == {"cachestore.load": 1}
+        assert injector.book.surfaced == {"cachestore.load": 1}
         assert "cold start" in caplog.text
 
     def test_injected_busy_save_exhausts_to_a_warned_skip(
@@ -256,9 +256,9 @@ class TestCachestoreHardening:
         cache.probe_keyed(db, "k2", "SELECT 2 FROM movie")
         assert store.save(db, cache) is None
         # attempts=3: two retries absorbed, the final failure surfaced.
-        assert injector.injected == {"cachestore.save": 3}
-        assert injector.absorbed == {"cachestore.save": 2}
-        assert injector.surfaced == {"cachestore.save": 1}
+        assert injector.book.injected == {"cachestore.save": 3}
+        assert injector.book.absorbed == {"cachestore.save": 2}
+        assert injector.book.surfaced == {"cachestore.save": 1}
 
     def test_injected_corrupt_save_recreates_the_store(self, tmp_path,
                                                        db, caplog):
@@ -268,7 +268,7 @@ class TestCachestoreHardening:
         cache.probe_keyed(db, "k2", "SELECT 2 FROM movie")
         # The recreate path unlinks the torn file and re-upserts.
         assert store.save(db, cache) is not None
-        assert injector.surfaced == {"cachestore.save": 1}
+        assert injector.book.surfaced == {"cachestore.save": 1}
         assert "recreating" in caplog.text or "corrupt" in caplog.text
         faults.uninstall()
         entries = store.load(db)

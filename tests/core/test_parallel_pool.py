@@ -272,7 +272,7 @@ class TestPoolResults:
             assert all(r.ok == inline.ok for r in results)
             # Worker probe traffic lands in the primary cache.
             cache = verifier.probe_cache
-            assert cache.hits + cache.misses > 0
+            assert cache.counters.probe_hits + cache.counters.probe_misses > 0
             assert len(cache) > 0
 
 
@@ -326,5 +326,5 @@ class TestCrossTaskCacheReuse:
         # Totals on the shared cache keep growing, but each run's
         # telemetry only counts its own traffic: the two deltas add up
         # to the cache's totals.
-        assert t1.probe_hits + t2.probe_hits == cache.hits
-        assert t1.probe_misses + t2.probe_misses == cache.misses
+        assert t1.probe_hits + t2.probe_hits == cache.counters.probe_hits
+        assert t1.probe_misses + t2.probe_misses == cache.counters.probe_misses

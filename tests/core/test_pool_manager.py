@@ -153,7 +153,7 @@ class TestCacheSync:
             lease.run(make_jobs(movie_db, count=6))
             lease.close()
             assert len(cache) > 0
-            assert cache.hits + cache.misses > 0
+            assert cache.counters.probe_hits + cache.counters.probe_misses > 0
 
     @needs_snapshots
     def test_second_task_sees_first_tasks_probes(self, movie_db):
@@ -167,12 +167,12 @@ class TestCacheSync:
             first.run(make_jobs(movie_db, count=6))
             first.close()
             cache.begin_task()
-            cross_before = cache.cross_task_hits
+            cross_before = cache.counters.cross_task_probe_hits
             second = manager.lease(make_verifier(movie_db, cache),
                                    workers=2)
             second.run(make_jobs(movie_db, count=6))
             second.close()
-            assert cache.cross_task_hits > cross_before
+            assert cache.counters.cross_task_probe_hits > cross_before
 
     @needs_snapshots
     def test_switching_caches_reseeds_workers(self, movie_db):
@@ -210,7 +210,7 @@ class TestCacheSync:
                                   workers=2)
             lease.run(make_jobs(movie_db, count=6))
             lease.close()
-        assert warm.warm_start_hits > 0
+        assert warm.counters.warm_start_probe_hits > 0
 
     @needs_snapshots
     def test_warm_hits_survive_cache_switch_on_warm_pool(self, movie_db):
@@ -243,7 +243,7 @@ class TestCacheSync:
             assert lease.reused
             lease.run(make_jobs(movie_db, count=6))
             lease.close()
-        assert warm.warm_start_hits > 0
+        assert warm.counters.warm_start_probe_hits > 0
 
 
 class TestDegradeAndEviction:

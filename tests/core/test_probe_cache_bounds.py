@@ -38,7 +38,7 @@ class TestBoundHolds:
         cache = SharedProbeCache(max_entries=5)
         fill(cache, 20)
         assert len(cache) == 5
-        assert cache.evictions == 15
+        assert cache.counters.probe_cache_evictions == 15
 
     def test_bound_counts_probes_and_minmax_together(self):
         cache = SharedProbeCache(max_entries=4)
@@ -47,7 +47,7 @@ class TestBoundHolds:
             cache.record_minmax(ColumnRef(table="t", column=f"c{i}"),
                                 (0, i))
         assert len(cache) == 4
-        assert cache.evictions == 2
+        assert cache.counters.probe_cache_evictions == 2
 
     def test_seed_respects_the_bound_keeping_the_most_recent(self):
         cache = SharedProbeCache(max_entries=3)
@@ -67,7 +67,7 @@ class TestBoundHolds:
         cache = SharedProbeCache()
         fill(cache, 500)
         assert len(cache) == 500
-        assert cache.evictions == 0
+        assert cache.counters.probe_cache_evictions == 0
         assert not cache._lru  # no LRU bookkeeping off the bounded path
 
 
@@ -116,7 +116,7 @@ class TestEvictionPersistence:
             or (len(probes) + len(minmax)))
         cache.seed({f"warm-{i}": True for i in range(2)}, {}, warm=True)
         fill(cache, 2)  # evicts both warm entries
-        assert cache.evictions == 2
+        assert cache.counters.probe_cache_evictions == 2
         flushed = cache.flush_evicted()
         assert flushed == 0
         assert not sink_batches
@@ -128,10 +128,11 @@ class TestEvictionPersistence:
             lambda probes, minmax: sink_batches.append((probes, minmax))
             or (len(probes) + len(minmax)))
         fill(cache, 6)  # 4 non-warm evictions, buffered
-        assert cache.evictions == 4
-        assert cache.evicted_flushed == 0  # below FLUSH_BATCH: buffered
+        assert cache.counters.probe_cache_evictions == 4
+        # below FLUSH_BATCH: buffered
+        assert cache.counters.evicted_flushed == 0
         assert cache.flush_evicted() == 4
-        assert cache.evicted_flushed == 4
+        assert cache.counters.evicted_flushed == 4
         (probes, minmax), = sink_batches
         assert set(probes) == {f"probe-{i:03d}" for i in range(4)}
         assert not minmax
@@ -146,20 +147,21 @@ class TestEvictionPersistence:
         # crossing FLUSH_BATCH buffered evictions triggered a flush
         # without anyone calling flush_evicted()
         assert sink_batches
-        assert cache.evicted_flushed >= cache.FLUSH_BATCH
+        assert cache.counters.evicted_flushed >= cache.FLUSH_BATCH
 
     def test_failed_sink_counts_nothing_flushed(self):
         cache = SharedProbeCache(max_entries=2)
         cache.set_eviction_sink(lambda probes, minmax: 0)  # store down
         fill(cache, 6)
         assert cache.flush_evicted() == 0
-        assert cache.evicted_flushed == 0
-        assert cache.evictions == 4  # the evictions still happened
+        assert cache.counters.evicted_flushed == 0
+        # the evictions still happened
+        assert cache.counters.probe_cache_evictions == 4
 
     def test_eviction_without_a_sink_buffers_nothing(self):
         cache = SharedProbeCache(max_entries=2)
         fill(cache, 10)
-        assert cache.evictions == 8
+        assert cache.counters.probe_cache_evictions == 8
         assert not cache._evicted_probes
         assert cache.flush_evicted() == 0
 
@@ -182,5 +184,5 @@ class TestAccounting:
         cache.probe_keyed(db, "beta", "beta")    # evicts alpha
         cache.probe_keyed(db, "alpha", "alpha")  # re-probes, no crash
         assert db.calls == ["alpha", "beta", "alpha"]
-        assert cache.misses == 3
-        assert cache.hits == 0
+        assert cache.counters.probe_misses == 3
+        assert cache.counters.probe_hits == 0

@@ -73,15 +73,15 @@ class TestPlanCache:
         second = planner.plan_for(probe_sql(2013))
         assert first.sql == second.sql
         assert first.params != second.params
-        assert planner.counters.compiles == 1
-        assert planner.counters.plan_hits == 1
+        assert planner.counters.probe_compiles == 1
+        assert planner.counters.probe_plan_hits == 1
 
     def test_distinct_structures_compile_separately(self):
         planner = ProbePlanner("plan")
         planner.plan_for(probe_sql(1994))
         planner.plan_for("SELECT 1 FROM movie WHERE revenue = 678 LIMIT 1")
-        assert planner.counters.compiles == 2
-        assert planner.counters.plan_hits == 0
+        assert planner.counters.probe_compiles == 2
+        assert planner.counters.probe_plan_hits == 0
 
     def test_renderings_of_the_same_probe_share_a_cache_entry(self):
         """Whitespace renderings of the same probe are one probe: the
@@ -97,7 +97,8 @@ class TestPlanCache:
             "SELECT 1  FROM movie\n  WHERE year = 1994  LIMIT 1")
         assert first is second is True
         assert db.stats.delta_since(before).statements == 1
-        assert cache.hits == 1 and cache.misses == 1
+        assert (cache.counters.probe_hits,
+                cache.counters.probe_misses) == (1, 1)
 
     def test_int_and_float_literals_do_not_share_a_cache_entry(self):
         """``= 5`` and ``= 5.0`` share a *plan* but never a cache
@@ -115,7 +116,8 @@ class TestPlanCache:
         assert int_probe == db.exists(int_sql)
         assert float_probe == db.exists(float_sql)
         # Neither probe may be served from the other's entry.
-        assert cache.misses == 2 and cache.hits == 0
+        assert (cache.counters.probe_misses,
+                cache.counters.probe_hits) == (2, 0)
 
     def test_plan_outcomes_match_raw_execution(self):
         db = build_movie_db()
@@ -155,7 +157,7 @@ class TestRoundBatching:
         # statements than probes answered.
         assert delta.per_kind.get("probe_batch", 0) >= 1
         assert delta.statements < answered
-        assert verifier.planner.counters.batch_stmts >= 1
+        assert verifier.planner.counters.probe_batch_stmts >= 1
         # The cascade now runs entirely from the cache: no new probes.
         before = db.stats.snapshot()
         for query in queries:
@@ -184,12 +186,12 @@ class TestRoundBatching:
         query = parse_sql("SELECT title FROM movie WHERE year < 1995",
                           db.schema)
         verifier.planner.prefetch(verifier, [(query, False)])
-        stmts = verifier.planner.counters.batch_stmts
+        stmts = verifier.planner.counters.probe_batch_stmts
         # Same round again: everything cached, nothing to fuse.
         answered = verifier.planner.prefetch(verifier,
                                              [(query, False), (query, False)])
         assert answered == 0
-        assert verifier.planner.counters.batch_stmts == stmts
+        assert verifier.planner.counters.probe_batch_stmts == stmts
 
     def test_plan_mode_never_prefetches(self):
         db = build_movie_db()
@@ -218,12 +220,13 @@ class TestRoundBatching:
 
         monkeypatch.setattr(type(db), "execute", failing)
         assert verifier.planner.prefetch(verifier, [(query, False)]) == 0
-        assert verifier.planner.counters.batch_fallbacks == 1
+        assert verifier.planner.counters.probe_batch_fallbacks == 1
         # The cascade still runs on individual probes and reaches the
         # same verdict it would without any planner (here: the full
         # check correctly rejects, since 'Gravity' is not in year<1995).
         result = verifier.verify(query)
-        assert verifier.probe_cache.misses > 0  # probed individually
+        # probed individually
+        assert verifier.probe_cache.counters.probe_misses > 0
         monkeypatch.setattr(type(db), "execute", original)
         plain = Verifier(db, tsq=verifier.tsq).verify(query)
         assert (result.ok, result.failed_stage) == \
@@ -280,10 +283,9 @@ class TestFuseMode:
         assert delta.per_kind.get("probe_fuse", 0) == 1
         assert delta.statements == 1
         counters = verifier.planner.counters
-        assert counters.fused_groups == 1
-        assert counters.batched_probes == 4
-        assert counters.fuse_fallbacks == 0
-        assert counters.batch_stmts == 0
+        assert counters.probe_fused_groups == 1
+        assert counters.probe_fuse_fallbacks == 0
+        assert counters.probe_batch_stmts == 0
 
     def test_fused_answers_match_individual_execution(self):
         db = build_movie_db()
@@ -373,11 +375,10 @@ class TestFuseMode:
         answered = verifier.planner.prefetch(verifier, jobs)
         assert answered == 4  # the UNION ALL retry answered every arm
         counters = verifier.planner.counters
-        assert counters.fused_groups == 0
-        assert counters.fuse_fallbacks == 1
-        assert counters.batch_stmts == 1
-        assert counters.batch_fallbacks == 0
-        assert counters.batched_probes == 4
+        assert counters.probe_fused_groups == 0
+        assert counters.probe_fuse_fallbacks == 1
+        assert counters.probe_batch_stmts == 1
+        assert counters.probe_batch_fallbacks == 0
         monkeypatch.setattr(type(db), "execute", original)
         for query in queries:
             for sql in verifier.pending_probe_sql(query, True):
@@ -407,9 +408,9 @@ class TestFuseMode:
         monkeypatch.setattr(type(db), "execute", failing)
         assert verifier.planner.prefetch(verifier, jobs) == 0
         counters = verifier.planner.counters
-        assert counters.fuse_fallbacks == 1
-        assert counters.batch_fallbacks == 1
-        assert counters.fused_groups == counters.batch_stmts == 0
+        assert counters.probe_fuse_fallbacks == 1
+        assert counters.probe_batch_fallbacks == 1
+        assert counters.probe_fused_groups == counters.probe_batch_stmts == 0
         assert len(verifier.probe_cache) == 0  # nothing memoised
         # The cascade probes individually and reaches the verdicts a
         # planner-off verifier reaches.
@@ -454,9 +455,9 @@ class TestFuseMode:
         counters = verifier.planner.counters
         # A timeout is not a degradation: no fallback rung runs and no
         # outcome is recorded for any arm.
-        assert counters.fuse_fallbacks == 0
-        assert counters.batch_fallbacks == 0
-        assert counters.fused_groups == counters.batch_stmts == 0
+        assert counters.probe_fuse_fallbacks == 0
+        assert counters.probe_batch_fallbacks == 0
+        assert counters.probe_fused_groups == counters.probe_batch_stmts == 0
         assert len(verifier.probe_cache) == 0
         assert db.stats.timeouts == timeouts_before + 1
         # Candidates stay alive: the cascade re-probes each arm under
@@ -482,7 +483,7 @@ class TestFuseMode:
                           db.schema)
         # Complete query: one column probe, no row stage -> one lone arm.
         assert verifier.planner.prefetch(verifier, [(query, False)]) == 0
-        assert verifier.planner.counters.fused_groups == 0
+        assert verifier.planner.counters.probe_fused_groups == 0
 
 
 class TestPendingProbeSuperset:

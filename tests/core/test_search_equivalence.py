@@ -325,34 +325,41 @@ class TestDecisionDispatch:
 
 
 class TestGuidanceBatchingEquivalence:
-    """``--guidance-batch`` must be invisible in the output: request
-    dedup, the distribution cache, and the server backend's degrade
-    path change telemetry and wall time only, never the candidate
-    stream (the models are deterministic per request, so a cached
-    distribution is identical to a recomputed one)."""
+    """The batching wrapper every model runs behind must be invisible
+    in the output: request dedup, the distribution cache, and the
+    server backend's degrade path change telemetry and wall time only,
+    never the candidate stream (the models are deterministic per
+    request, so a cached distribution is identical to a recomputed
+    one)."""
 
     @pytest.mark.parametrize("workers,backend", [
         (1, "threads"), (4, "threads"), (1, "inline"),
     ])
     def test_batched_stream_matches_golden(self, golden, tasks, workers,
                                            backend):
+        """A wrapper the caller made (the harness's and the daemon's
+        path) serves the golden stream, like the one the enumerator
+        makes for a bare model."""
+        from repro.guidance.batched import BatchingGuidanceModel
+
         for name, expected in golden["tasks"].items():
-            stream, enumerator, _ = run_engine(tasks[name], workers,
-                                               verify_backend=backend,
-                                               guidance_batch=True)
+            db, model, nlq, tsq, gold, task_id = tasks[name]
+            wrapped = BatchingGuidanceModel(model)
+            stream, enumerator, _ = run_engine(
+                (db, wrapped, nlq, tsq, gold, task_id), workers,
+                verify_backend=backend)
+            assert enumerator.model is wrapped
             assert stream == expected["candidates"], \
-                f"{name} diverged under --guidance-batch " \
+                f"{name} diverged behind a caller-made wrapper " \
                 f"(workers={workers}, backend={backend})"
             assert enumerator.expansions == expected["total_expansions"]
-            assert enumerator.telemetry.guidance_batched
 
     def test_batching_amortisation_is_visible_in_telemetry(self, tasks):
         """workers=4 batches multiple decisions per round, so the
         wrapper issues strictly fewer model invocations than requests —
         the same stream, measurably fewer calls."""
         name = next(iter(tasks))
-        _, enumerator, _ = run_engine(tasks[name], workers=4,
-                                      guidance_batch=True)
+        _, enumerator, _ = run_engine(tasks[name], workers=4)
         telemetry = enumerator.telemetry
         assert telemetry.guide_requests > 0
         assert telemetry.guide_batch_calls < telemetry.guide_requests
@@ -370,13 +377,59 @@ class TestGuidanceBatchingEquivalence:
         db, model, nlq, tsq, gold, task_id = tasks[name]
         shared = BatchingGuidanceModel(model, cache_size=1 << 16)
         task = (db, shared, nlq, tsq, gold, task_id)
-        first, _, _ = run_engine(task, workers=1, guidance_batch=True)
-        second, enumerator, _ = run_engine(task, workers=1,
-                                           guidance_batch=True)
+        first, _, _ = run_engine(task, workers=1)
+        second, enumerator, _ = run_engine(task, workers=1)
         assert first == second == golden["tasks"][name]["candidates"]
         telemetry = enumerator.telemetry
         assert telemetry.guide_hits == telemetry.guide_requests > 0
         assert telemetry.guide_calls == 0
+
+    def test_every_distribution_equals_the_bare_models_answer(self,
+                                                              tasks):
+        """The reference for the unwrapped path the wrapper replaced:
+        over the golden tasks, run twice through one shared wrapper per
+        model, every distribution the wrapper returns — cache hits and
+        in-round duplicates included — equals what a separate instance
+        of the bare model answers for the same request."""
+        from repro.guidance.batched import BatchingGuidanceModel
+        from repro.guidance.lexical import LexicalGuidanceModel
+        from repro.guidance.oracle import CalibratedOracleModel
+
+        checked = []
+
+        class Checked(BatchingGuidanceModel):
+            def __init__(self, inner, reference):
+                super().__init__(inner)
+                self.reference = reference
+
+            def _check(self, request, distribution):
+                assert distribution == request.invoke(self.reference), \
+                    request.method
+                checked.append(request)
+
+            def _score_request(self, request):
+                distribution = super()._score_request(request)
+                self._check(request, distribution)
+                return distribution
+
+            def score_batch(self, requests):
+                distributions = super().score_batch(requests)
+                for request, distribution in zip(requests, distributions):
+                    self._check(request, distribution)
+                return distributions
+
+        references = {CalibratedOracleModel: CalibratedOracleModel(seed=0),
+                      LexicalGuidanceModel: LexicalGuidanceModel()}
+        wrappers = {}
+        for _ in range(2):
+            for db, model, nlq, tsq, gold, task_id in tasks.values():
+                wrapper = wrappers.setdefault(
+                    id(model), Checked(model, references[type(model)]))
+                run_engine((db, wrapper, nlq, tsq, gold, task_id),
+                           workers=4)
+        counters = [wrapper.counters for wrapper in wrappers.values()]
+        assert len(checked) == sum(c.guide_requests for c in counters)
+        assert sum(c.guide_hits for c in counters) > len(checked) // 2
 
     def test_dead_server_degrades_to_the_golden_stream(self, golden,
                                                        tasks, caplog):
@@ -391,7 +444,6 @@ class TestGuidanceBatchingEquivalence:
                 tasks[name], workers=1, guidance_server="127.0.0.1:1")
         assert stream == golden["tasks"][name]["candidates"]
         assert enumerator.telemetry.guidance_degraded
-        assert enumerator.telemetry.guidance_batched
         assert "degrading to the local" in caplog.text
 
 
@@ -860,7 +912,8 @@ class TestBoundedCacheEquivalence:
         assert bounded.telemetry.prunes_by_stage == \
             unbounded.telemetry.prunes_by_stage
         # re-probes surface as extra misses, the documented trade
-        assert cache.misses >= unbounded.verifier.probe_cache.misses
+        assert cache.counters.probe_misses >= \
+            unbounded.verifier.probe_cache.counters.probe_misses
 
     def test_config_knob_builds_a_bounded_cache(self, golden, tasks):
         """``EnumeratorConfig.probe_cache_entries`` (the CLI's
@@ -887,7 +940,7 @@ class TestBoundedCacheEquivalence:
         stream, _, _ = run_engine(tasks[name], workers=1,
                                   probe_cache=cache)
         assert stream == golden["tasks"][name]["candidates"]
-        assert cache.evictions > 0
+        assert cache.counters.probe_cache_evictions > 0
         store.save(db, cache)
 
         warm, loaded = store.warm_cache(db, max_entries=24)
@@ -897,4 +950,5 @@ class TestBoundedCacheEquivalence:
                                            probe_cache=warm)
         assert stream == golden["tasks"][name]["candidates"]
         assert enumerator.telemetry.warm_start_probe_hits > 0
-        assert warm.evictions > 0  # the bound stayed engaged
+        # the bound stayed engaged
+        assert warm.counters.probe_cache_evictions > 0

@@ -3,7 +3,7 @@
 The equivalence suite pins a handful of golden tasks; this suite
 samples the configuration matrix on *fresh* synthetic tasks.  The
 property under test: for any task, the candidate stream of a
-(backend, probe-planner, guidance-batch) variant is a pure function of
+(backend, probe-planner) variant is a pure function of
 ``(engine, cost_order)`` alone — every knob combination must answer
 bit-for-bit like the inline seed run at the same engine and cost-order
 point, and record the same verifier stats.  ``cost_order`` is part of
@@ -109,24 +109,22 @@ matrix_points = st.tuples(
     st.sampled_from(BACKENDS),
     st.sampled_from(PLANNERS),
     st.sampled_from(("off", "order")),
-    st.booleans(),  # guidance_batch
 )
 
 
 @FUZZ
 @given(point=matrix_points)
 def test_matrix_point_matches_inline_seed_run(point):
-    seed, engine, (workers, backend), planner, cost_order, batch = point
+    seed, engine, (workers, backend), planner, cost_order = point
     expected_stream, expected_stats, expected_expansions = \
         baseline(seed, engine, cost_order)
     stream, enumerator = run_point(seed, engine, workers=workers,
                                    verify_backend=backend,
                                    probe_planner=planner,
-                                   cost_order=cost_order,
-                                   guidance_batch=batch)
+                                   cost_order=cost_order)
     label = (f"seed={seed} engine={engine} workers={workers} "
              f"backend={backend} planner={planner} "
-             f"cost_order={cost_order} guidance_batch={batch}")
+             f"cost_order={cost_order}")
 
     assert stream == expected_stream, f"stream diverged: {label}"
     assert enumerator.expansions == expected_expansions, \

@@ -153,11 +153,11 @@ class TestSharedProbeCacheConcurrency:
         assert len(set(outcomes)) == 1, "workers disagreed on probes"
         assert outcomes[0] == (True, True, False, True, False)
         total = rounds * len(self.PROBES)
-        assert cache.hits + cache.misses == total
+        assert cache.counters.probe_hits + cache.counters.probe_misses == total
         # Each distinct probe is computed at most once per racing
         # thread; everything else must be a cache hit.
-        assert cache.misses <= len(self.PROBES) * 8
-        assert cache.hits >= total - len(self.PROBES) * 8
+        assert cache.counters.probe_misses <= len(self.PROBES) * 8
+        assert cache.counters.probe_hits >= total - len(self.PROBES) * 8
         assert cache.hit_rate > 0.5
 
     def test_serial_hit_rate_is_exact(self, movie_db):
@@ -165,8 +165,8 @@ class TestSharedProbeCacheConcurrency:
         for _ in range(10):
             for sql in self.PROBES:
                 cache.probe(movie_db, sql)
-        assert cache.misses == len(self.PROBES)
-        assert cache.hits == 9 * len(self.PROBES)
+        assert cache.counters.probe_misses == len(self.PROBES)
+        assert cache.counters.probe_hits == 9 * len(self.PROBES)
         assert cache.hit_rate == pytest.approx(0.9)
 
     @pytest.mark.skipif(not _snapshots_supported(),
@@ -178,10 +178,11 @@ class TestSharedProbeCacheConcurrency:
         primary = Verifier(movie_db, tsq=tsq)
         query = q("SELECT title FROM movie", movie_db)
         assert primary.verify(query, treat_as_partial=True).ok
-        misses_after_primary = primary.probe_cache.misses
+        misses_after_primary = primary.probe_cache.counters.probe_misses
 
         fork = primary.fork(movie_db.fork())
         assert fork.probe_cache is primary.probe_cache
         assert fork.verify(query, treat_as_partial=True).ok
-        assert primary.probe_cache.misses == misses_after_primary
-        assert primary.probe_cache.hits > 0
+        assert primary.probe_cache.counters.probe_misses == \
+            misses_after_primary
+        assert primary.probe_cache.counters.probe_hits > 0

@@ -162,7 +162,7 @@ class TestSnapshotRoundTrip:
         clone.execute("SELECT 1 FROM actor LIMIT 1", kind="probe")
         clone.execute("SELECT COUNT(*) FROM movie", kind="meta")
         before = db.stats.snapshot()
-        db.merge_stats(clone.stats)
+        db.stats.absorb(clone.stats)
         assert db.stats.statements == before.statements + 2
         assert db.stats.per_kind["probe"] == \
             before.per_kind.get("probe", 0) + 1

@@ -236,17 +236,17 @@ class TestCrossTaskProbeCache:
         assert "WarmStart" in search_report(warm)
 
     def test_guidance_batching_amortises_across_systems(self, tiny_corpus):
-        """With guidance_batch on, the harness wraps the oracle once per
-        run, so the NLI baseline reuses Duoquest's scored decisions
-        (same tasks, same model) — nonzero GuideHits — while every
-        outcome matches the unbatched run exactly."""
+        """The harness wraps the oracle once per run, so the NLI
+        baseline reuses Duoquest's scored decisions (same tasks, same
+        model) — nonzero GuideHits — while every outcome matches a run
+        whose distribution cache holds a single entry."""
         from repro.eval import search_report
 
-        plain = run_simulation(tiny_corpus, systems=("Duoquest", "NLI"),
-                               config=SimulationConfig(timeout=60.0))
-        batched = run_simulation(
+        plain = run_simulation(
             tiny_corpus, systems=("Duoquest", "NLI"),
-            config=SimulationConfig(timeout=60.0, guidance_batch=True))
+            config=SimulationConfig(timeout=60.0, guidance_cache_size=1))
+        batched = run_simulation(tiny_corpus, systems=("Duoquest", "NLI"),
+                                 config=SimulationConfig(timeout=60.0))
         assert [(r.task_id, r.system, r.rank, r.num_candidates)
                 for r in plain] \
             == [(r.task_id, r.system, r.rank, r.num_candidates)

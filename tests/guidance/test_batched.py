@@ -24,6 +24,8 @@ from repro.guidance.batched import (
     AmortisationCounters,
     BatchingGuidanceModel,
     GuidanceCache,
+    ServerGuidanceModel,
+    make_guidance_backend,
     request_candidates,
 )
 from repro.guidance.oracle import CalibratedOracleModel
@@ -180,10 +182,10 @@ class TestBatchingModel:
         assert len(spy.batches[0]) == 2          # deduplicated
         assert results[0] == results[2]
         counters = model.counters
-        assert counters.requests_in == 3
-        assert counters.unique_scored == 2
-        assert counters.cache_hits == 1          # the in-batch duplicate
-        assert counters.batch_calls == 1
+        assert counters.guide_requests == 3
+        assert counters.guide_calls == 2
+        assert counters.guide_hits == 1          # the in-batch duplicate
+        assert counters.guide_batch_calls == 1
 
     def test_repeats_across_batches_hit_the_cache(self):
         spy = SpyModel(CalibratedOracleModel(seed=0))
@@ -192,8 +194,8 @@ class TestBatchingModel:
         second = model.score_batch([kw_request(), col_request()])
         assert first == second
         assert len(spy.batches) == 1             # nothing new to score
-        assert model.counters.cache_hits == 2
-        assert model.counters.requests_in == 4
+        assert model.counters.guide_hits == 2
+        assert model.counters.guide_requests == 4
 
     def test_per_call_methods_share_the_cache(self):
         spy = SpyModel(CalibratedOracleModel(seed=0))
@@ -202,8 +204,8 @@ class TestBatchingModel:
         direct = model.clause_presence(ctx, SLOT_WHERE)
         batched = model.score_batch([kw_request()])[0]
         assert direct == batched
-        assert model.counters.unique_scored == 1
-        assert model.counters.cache_hits == 1
+        assert model.counters.guide_calls == 1
+        assert model.counters.guide_hits == 1
         assert not spy.batches                   # per-call used invoke()
 
     def test_counters_always_balance(self):
@@ -211,17 +213,18 @@ class TestBatchingModel:
         model.score_batch([kw_request(), kw_request(), col_request()])
         model.score_batch([kw_request(task_id="t9")])
         counters = model.counters
-        assert counters.requests_in == \
-            counters.unique_scored + counters.cache_hits
+        assert counters.guide_requests == \
+            counters.guide_calls + counters.guide_hits
 
     def test_delta_since(self):
         model = BatchingGuidanceModel(CalibratedOracleModel(seed=0))
         model.score_batch([kw_request()])
-        start = model.counters.copy()
+        start = model.counters.snapshot()
         model.score_batch([kw_request(), col_request()])
         delta = model.counters.delta_since(start)
-        assert delta == AmortisationCounters(requests_in=2, unique_scored=1,
-                                             cache_hits=1, batch_calls=1)
+        assert delta == AmortisationCounters(guide_requests=2, guide_calls=1,
+                                             guide_hits=1,
+                                             guide_batch_calls=1)
 
     def test_double_wrap_rejected(self):
         model = BatchingGuidanceModel(CalibratedOracleModel(seed=0))
@@ -242,6 +245,45 @@ class TestBatchingModel:
                                       cache_size=1)
         model.score_batch([kw_request(), col_request()])
         assert len(model.cache) == 1
+
+
+class TestOneGuidancePath:
+    """Every model is served through the batching wrapper; there is no
+    option that turns it off."""
+
+    def test_backend_wraps_a_bare_model(self):
+        inner = CalibratedOracleModel(seed=0)
+        model = make_guidance_backend(inner, cache_size=8)
+        assert isinstance(model, BatchingGuidanceModel)
+        assert model.inner is inner and model.cache.max_entries == 8
+
+    def test_backend_returns_an_existing_wrapper_unchanged(self):
+        wrapped = BatchingGuidanceModel(CalibratedOracleModel(seed=0))
+        assert make_guidance_backend(wrapped) is wrapped
+        assert make_guidance_backend(wrapped,
+                                     server="127.0.0.1:1") is wrapped
+
+    def test_server_sits_under_the_wrapper(self):
+        model = make_guidance_backend(CalibratedOracleModel(seed=0),
+                                      server="127.0.0.1:1")
+        assert isinstance(model.inner, ServerGuidanceModel)
+
+    def test_no_config_accepts_guidance_batch(self):
+        from repro.core.enumerator import EnumeratorConfig
+        from repro.eval.harness import SimulationConfig
+
+        for config in (EnumeratorConfig, SimulationConfig):
+            with pytest.raises(TypeError, match="guidance_batch"):
+                config(guidance_batch=True)
+
+    @pytest.mark.parametrize("address", ["127.0.0.1:70000", "nonsense",
+                                         "127.0.0.1:x"])
+    def test_config_rejects_a_bad_server_address(self, address):
+        """Rejected at construction, not after reconnect back-off."""
+        from repro.core.enumerator import EnumeratorConfig
+
+        with pytest.raises(ValueError):
+            EnumeratorConfig(guidance_server=address)
 
 
 class TestSchedulerDedup:

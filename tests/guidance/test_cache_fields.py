@@ -140,13 +140,13 @@ class TestProjectionIsInvisibleInTheStream:
 
         assert projected_stream, "task must emit candidates"
         assert projected_stream == conservative_stream
-        assert projected.counters.cache_hits \
-            >= conservative.counters.cache_hits
-        assert projected.counters.requests_in \
-            == conservative.counters.requests_in
+        assert projected.counters.guide_hits \
+            >= conservative.counters.guide_hits
+        assert projected.counters.guide_requests \
+            == conservative.counters.guide_requests
         # Fewer distinct keys reach the inner model under the merge.
-        assert projected.counters.unique_scored \
-            <= conservative.counters.unique_scored
+        assert projected.counters.guide_calls \
+            <= conservative.counters.guide_calls
 
     def test_lexical_projection_matches_conservative(
             self, oracle_task, monkeypatch):
@@ -165,9 +165,9 @@ class TestProjectionIsInvisibleInTheStream:
 
         assert projected_stream, "task must emit candidates"
         assert projected_stream == conservative_stream
-        assert projected.counters.cache_hits \
-            >= conservative.counters.cache_hits
-        assert projected.counters.requests_in \
-            == conservative.counters.requests_in
-        assert projected.counters.unique_scored \
-            <= conservative.counters.unique_scored
+        assert projected.counters.guide_hits \
+            >= conservative.counters.guide_hits
+        assert projected.counters.guide_requests \
+            == conservative.counters.guide_requests
+        assert projected.counters.guide_calls \
+            <= conservative.counters.guide_calls

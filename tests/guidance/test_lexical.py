@@ -250,6 +250,24 @@ class TestPerNLQState:
         assert calls == Counter({ctx.nlq.text for ctx in corpus_contexts})
 
 
+class TestLinksFollowTheLiterals:
+    """Schema linking favours columns of a tagged literal's type, so a
+    text asked with other literals must not reuse the first links."""
+
+    def test_same_text_with_new_literals_scores_like_a_fresh_model(
+            self, movie_schema):
+        model = LexicalGuidanceModel()
+        candidates = list(movie_schema.iter_column_refs())
+        bare = make_ctx(movie_schema, "movies from 1995")  # no literals
+        model.column(bare, SLOT_SELECT, candidates)
+        tagged = make_ctx(movie_schema, "movies from 1995", [1995])
+        year = ColumnRef("movie", "year")
+        assert link_schema(tagged.nlq, movie_schema).columns[year] == \
+            pytest.approx(0.25)
+        assert model.column(tagged, SLOT_SELECT, candidates) == \
+            LexicalGuidanceModel().column(tagged, SLOT_SELECT, candidates)
+
+
 class TestNLQBound:
     """Tokens and links share one LRU over NLQ texts with a constant
     bound, so a long-lived daemon model stays bounded."""

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import GuidanceError
 from repro.guidance.base import GuidanceRequest, SLOT_SELECT, SLOT_WHERE
 from repro.guidance.batched import ServerGuidanceModel
 from repro.guidance.oracle import CalibratedOracleModel
@@ -317,7 +316,7 @@ class TestHandshake:
             server.server_close()
 
     def test_bad_address_format_rejected_upfront(self):
-        with pytest.raises(GuidanceError):
+        with pytest.raises(ValueError, match="HOST:PORT"):
             ServerGuidanceModel("nonsense", fallback=self.fallback_model())
 
     def test_degrade_flushes_cached_server_distributions(self, caplog):

@@ -25,7 +25,7 @@ TSQ_ROWS = (("Forrest Gump",),)
 
 def serve_config(**overrides) -> EnumeratorConfig:
     settings = dict(time_budget=10.0, max_candidates=24, workers=2,
-                    verify_backend="threads", guidance_batch=True)
+                    verify_backend="threads")
     settings.update(overrides)
     return EnumeratorConfig(**settings)
 

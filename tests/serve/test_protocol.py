@@ -13,14 +13,15 @@ import socket
 
 import pytest
 
+from repro import wire
 from repro.serve import protocol
 from repro.serve.client import SynthesisClient
-from repro.serve.protocol import (
+from repro.serve.protocol import tsq_payload
+from repro.wire import (
     PROTOCOL_VERSION,
     ProtocolError,
     ProtocolMismatch,
     parse_address,
-    tsq_payload,
 )
 
 from tests.conftest import build_movie_db
@@ -71,7 +72,7 @@ class TestTsqPayload:
 
 class TestHandshake:
     def test_hello_reply_carries_version_and_epoch(self, handle):
-        (reply,) = raw_exchange(handle, [protocol.hello_request()])
+        (reply,) = raw_exchange(handle, [wire.hello_request()])
         assert reply["v"] == PROTOCOL_VERSION
         assert reply["server"] == protocol.SERVER_NAME
         assert reply["epoch"] == 0
@@ -81,7 +82,7 @@ class TestHandshake:
             handle, [{"v": 99, "id": 0, "hello": True}])
         assert "version mismatch" in reply["error"]
         with pytest.raises(ProtocolMismatch):
-            protocol.check_hello_reply(reply)
+            wire.check_hello_reply(reply)
 
     def test_first_line_must_be_hello(self, handle):
         (reply,) = raw_exchange(
@@ -98,7 +99,7 @@ class TestHandshake:
 class TestBadRequests:
     def test_unknown_verb_answered_and_connection_survives(self, handle):
         replies = raw_exchange(handle, [
-            protocol.hello_request(),
+            wire.hello_request(),
             {"v": PROTOCOL_VERSION, "id": 1, "verb": "frobnicate"},
             {"v": PROTOCOL_VERSION, "id": 2, "verb": "stats"},
         ])
@@ -110,7 +111,7 @@ class TestBadRequests:
         with socket.create_connection((handle.host, handle.port),
                                       timeout=30.0) as sock:
             stream = sock.makefile("rwb")
-            stream.write(json.dumps(protocol.hello_request())
+            stream.write(json.dumps(wire.hello_request())
                          .encode("utf-8") + b"\n")
             stream.flush()
             assert json.loads(stream.readline())["v"] == PROTOCOL_VERSION
@@ -133,7 +134,7 @@ class TestBadRequests:
 
     def test_missing_required_field_is_an_error(self, handle):
         replies = raw_exchange(handle, [
-            protocol.hello_request(),
+            wire.hello_request(),
             {"v": PROTOCOL_VERSION, "id": 1, "verb": "create"},
         ])
         assert "missing required field" in replies[1]["error"]

@@ -45,16 +45,14 @@ class TestParser:
 
     def test_guidance_flag_defaults(self):
         args = build_parser().parse_args(["simulate"])
-        assert args.guidance_batch is False
         assert args.guidance_cache_size == 4096
         assert args.guidance_server is None
 
     def test_guidance_flags_parse(self):
         args = build_parser().parse_args(
-            ["demo", "list authors", "--guidance-batch",
+            ["demo", "list authors",
              "--guidance-cache-size", "128",
              "--guidance-server", "127.0.0.1:8765"])
-        assert args.guidance_batch is True
         assert args.guidance_cache_size == 128
         assert args.guidance_server == "127.0.0.1:8765"
 
@@ -87,6 +85,8 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "SELECT" in out
+        # One worker verifies inline, whatever the default backend.
+        assert "x1 inline]" in out
 
     def test_demo_processes_backend(self, capsys):
         """The process backend is gone: asking for it is a usage error
@@ -115,9 +115,9 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "inline" in err
 
-    def test_demo_guidance_batch_reports_amortisation(self, capsys):
+    def test_demo_reports_guidance_amortisation(self, capsys):
         code = main(["demo", 'List authors in domain "Databases".',
-                     "--top", "3", "--timeout", "5", "--guidance-batch"])
+                     "--top", "3", "--timeout", "5"])
         assert code == 0
         out = capsys.readouterr().out
         assert "SELECT" in out
@@ -131,10 +131,18 @@ class TestCommands:
         assert code == 2
         assert "HOST:PORT" in capsys.readouterr().err
 
-    def test_simulate_guidance_batch_prints_summary(self, capsys):
+    def test_simulate_prints_guidance_summary(self, capsys):
         code = main(["simulate", "--databases", "2", "--tasks", "2",
-                     "--timeout", "2", "--guidance-batch"])
+                     "--timeout", "2"])
         assert code == 0
         out = capsys.readouterr().out
         assert "GuideCalls" in out and "GuideHits" in out
         assert "[guidance]" in out
+
+    def test_guidance_batch_flag_is_gone(self, capsys):
+        """Guidance always runs behind the batching wrapper, so there is
+        no flag to turn it on."""
+        with pytest.raises(SystemExit):
+            main(["demo", "list authors", "--guidance-batch"])
+        assert "unrecognized arguments: --guidance-batch" in \
+            capsys.readouterr().err
